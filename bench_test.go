@@ -64,8 +64,11 @@ func BenchmarkFig13(b *testing.B)    { benchExperiment(b, "F13") }
 func BenchmarkFig14(b *testing.B)    { benchExperiment(b, "F14") }
 func BenchmarkFig15(b *testing.B)    { benchExperiment(b, "F15") }
 
-// The ablations run fresh predictor passes per iteration; keep them under
-// -bench filters rather than the default set by guarding on -short.
+// The ablations replay every suite input through freshly built
+// predictors on each iteration — one replay-grid task per (predictor,
+// input) pair, spread over the scheduler's workers — so an op costs far
+// more than rendering the artifacts above. CI smoke-runs all five at
+// -benchtime=1x.
 func BenchmarkHybridAblation(b *testing.B)  { benchExperiment(b, "A1") }
 func BenchmarkConfidence(b *testing.B)      { benchExperiment(b, "A2") }
 func BenchmarkOptimalHistory(b *testing.B)  { benchExperiment(b, "A3") }

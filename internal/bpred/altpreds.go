@@ -74,6 +74,27 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 	}
 }
 
+// PredictUpdate implements PredictUpdater: the choice and direction
+// indices are computed once, and the chosen bank's pre-update counter
+// is both the prediction and the partial-update rule's bankCorrect.
+func (b *BiMode) PredictUpdate(pc uint64, taken bool) bool {
+	pi := pcIndex(pc)
+	bank := 0
+	if b.choice.Predict(pi) {
+		bank = 1
+	}
+	predicted := b.banks[bank].PredictUpdate(b.index(pc), taken)
+	choiceAgrees := (bank == 1) == taken
+	if !(predicted == taken && !choiceAgrees) {
+		b.choice.Update(pi, taken)
+	}
+	b.ghr <<= 1
+	if taken {
+		b.ghr |= 1
+	}
+	return predicted
+}
+
 // SizeBits implements Predictor.
 func (b *BiMode) SizeBits() int64 {
 	return b.choice.SizeBits() + b.banks[0].SizeBits() + b.banks[1].SizeBits() + int64(b.k)
@@ -184,6 +205,38 @@ func (y *YAGS) Update(pc uint64, taken bool) {
 	}
 }
 
+// PredictUpdate implements PredictUpdater: the choice counter, cache
+// slot and tag are looked up once for both halves of the step.
+func (y *YAGS) PredictUpdate(pc uint64, taken bool) bool {
+	pi := pcIndex(pc)
+	bias := y.choice.Predict(pi)
+	cache := &y.caches[0]
+	if !bias {
+		cache = &y.caches[1]
+	}
+	i := y.cacheIndex(pc) & cache.mask
+	tag := y.tag(pc)
+	hit := cache.valid[i] && cache.tags[i] == tag
+	predicted := bias
+	if hit {
+		predicted = cache.counters[i].Predict()
+		cache.counters[i] = cache.counters[i].Update(taken)
+	} else if taken != bias {
+		cache.valid[i] = true
+		cache.tags[i] = tag
+		cache.counters[i] = Counter2(1).Update(taken)
+	}
+	overrodeCorrectly := hit && cache.counters[i].Predict() == taken && bias != taken
+	if !overrodeCorrectly {
+		y.choice.Update(pi, taken)
+	}
+	y.ghr <<= 1
+	if taken {
+		y.ghr |= 1
+	}
+	return predicted
+}
+
 // SizeBits implements Predictor.
 func (y *YAGS) SizeBits() int64 {
 	perCache := int64(len(y.caches[0].tags)) * (int64(y.tagBits) + 2 + 1)
@@ -203,6 +256,7 @@ type Filter struct {
 	dirs      []bool
 	mask      uint64
 	dynamic   Predictor
+	step      PredictUpdater // dynamic's fused step
 }
 
 // NewFilter wraps a dynamic predictor with a 2^tableBits-entry filter and
@@ -215,6 +269,7 @@ func NewFilter(tableBits int, threshold uint8, dynamic Predictor) *Filter {
 		dirs:      make([]bool, n),
 		mask:      uint64(n - 1),
 		dynamic:   dynamic,
+		step:      Fused(dynamic),
 	}
 }
 
@@ -244,6 +299,11 @@ func (f *Filter) Update(pc uint64, taken bool) {
 	if !filtered {
 		f.dynamic.Update(pc, taken)
 	}
+	f.train(i, taken)
+}
+
+// train advances slot i's run-length counter.
+func (f *Filter) train(i uint64, taken bool) {
 	if f.dirs[i] == taken {
 		if f.counts[i] < 255 {
 			f.counts[i]++
@@ -253,6 +313,20 @@ func (f *Filter) Update(pc uint64, taken bool) {
 		f.counts[i] = 1
 		f.dirs[i] = taken
 	}
+}
+
+// PredictUpdate implements PredictUpdater: the filter slot is indexed
+// once, and an unfiltered branch takes one fused dynamic step.
+func (f *Filter) PredictUpdate(pc uint64, taken bool) bool {
+	i := f.slot(pc)
+	var predicted bool
+	if f.counts[i] >= f.threshold {
+		predicted = f.dirs[i]
+	} else {
+		predicted = f.step.PredictUpdate(pc, taken)
+	}
+	f.train(i, taken)
+	return predicted
 }
 
 // SizeBits implements Predictor.
@@ -324,6 +398,22 @@ func (g *GSkew) Update(pc uint64, taken bool) {
 	if taken {
 		g.ghr |= 1
 	}
+}
+
+// PredictUpdate implements PredictUpdater: each bank's skewed index is
+// computed once, voting on the pre-update counter it then trains.
+func (g *GSkew) PredictUpdate(pc uint64, taken bool) bool {
+	votes := 0
+	for bank := 0; bank < 3; bank++ {
+		if g.banks[bank].PredictUpdate(g.skew(pc, bank), taken) {
+			votes++
+		}
+	}
+	g.ghr <<= 1
+	if taken {
+		g.ghr |= 1
+	}
+	return votes >= 2
 }
 
 // SizeBits implements Predictor.

@@ -23,6 +23,9 @@ type DynamicClassHybrid struct {
 	biasTbl Predictor
 	short   Predictor
 	long    Predictor
+	// steps holds each advice's component as a fused step (unclassified
+	// branches use the long-history component's).
+	steps [core.AdviseNonPredictive + 1]PredictUpdater
 }
 
 type dynEntry struct {
@@ -45,7 +48,7 @@ func NewDynamicClassHybrid(tableBits int, window uint16, comp HybridComponents) 
 		window = 64
 	}
 	comp = comp.withDefaults()
-	return &DynamicClassHybrid{
+	d := &DynamicClassHybrid{
 		window:  window,
 		entries: make([]dynEntry, 1<<uint(tableBits)),
 		mask:    (1 << uint(tableBits)) - 1,
@@ -53,6 +56,10 @@ func NewDynamicClassHybrid(tableBits int, window uint16, comp HybridComponents) 
 		short:   comp.Short,
 		long:    comp.Long,
 	}
+	for a := range d.steps {
+		d.steps[a] = Fused(d.component(&dynEntry{classified: true, advice: core.Advice(a)}))
+	}
+	return d
 }
 
 // Name implements Predictor.
@@ -86,7 +93,25 @@ func (d *DynamicClassHybrid) Predict(pc uint64) bool {
 func (d *DynamicClassHybrid) Update(pc uint64, taken bool) {
 	e := d.entry(pc)
 	d.component(e).Update(pc, taken)
+	d.monitor(e, taken)
+}
 
+// PredictUpdate implements PredictUpdater: one monitor-entry lookup and
+// one fused component step, then the same monitor update as Update.
+func (d *DynamicClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
+	e := d.entry(pc)
+	step := d.steps[core.AdviseLongHistory]
+	if e.classified {
+		step = d.steps[e.advice]
+	}
+	predicted := step.PredictUpdate(pc, taken)
+	d.monitor(e, taken)
+	return predicted
+}
+
+// monitor accumulates one execution into the branch's window counters
+// and (re)classifies it at the window boundary.
+func (d *DynamicClassHybrid) monitor(e *dynEntry, taken bool) {
 	e.execs++
 	if taken {
 		e.taken++

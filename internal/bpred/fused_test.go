@@ -1,6 +1,10 @@
 package bpred
 
-import "testing"
+import (
+	"testing"
+
+	"btr/internal/core"
+)
 
 // The PredictUpdater contract: a fused step must be indistinguishable from
 // a Predict-then-Update pair. Each implementation is driven against a
@@ -25,7 +29,36 @@ func fusedStream(n int) []struct {
 	return out
 }
 
+// mixedStream interleaves four behaviours by site — always taken, strict
+// alternation, long runs, and random — so composite predictors exercise
+// every component they route to. It returns the stream and its
+// profiles and classes.
+func mixedStream(n int) ([]struct {
+	pc    uint64
+	taken bool
+}, map[uint64]*core.Profile, core.ClassMap) {
+	out := fusedStream(n)
+	p := core.NewProfiler()
+	execs := make(map[uint64]int)
+	for i := range out {
+		pc := out[i].pc
+		k := execs[pc]
+		execs[pc]++
+		switch (pc >> 2) % 4 {
+		case 0:
+			out[i].taken = true
+		case 1:
+			out[i].taken = k%2 == 0
+		case 2:
+			out[i].taken = (k/16)%2 == 0
+		}
+		p.Branch(pc, out[i].taken)
+	}
+	return out, p.Profiles(), core.Classify(p.Profiles())
+}
+
 func TestPredictUpdateMatchesSeparate(t *testing.T) {
+	mixed, profiles, classes := mixedStream(40000)
 	builders := map[string]func() Predictor{
 		"PAs(0)":     func() Predictor { return NewPAs(0) },
 		"PAs(8)":     func() Predictor { return NewPAs(8) },
@@ -43,20 +76,35 @@ func TestPredictUpdateMatchesSeparate(t *testing.T) {
 		"tournament": func() Predictor {
 			return NewTournament("t", NewPAs(6), NewGShare(14, 8), 12)
 		},
+		"transitionhybrid": func() Predictor { return NewTransitionHybrid(classes, profiles, HybridComponents{}) },
+		"takenhybrid":      func() Predictor { return NewTakenHybrid(classes, profiles, HybridComponents{}) },
+		"classhybrid(lasttime)": func() Predictor {
+			// A component without a fused path steps through the adapter.
+			return NewTransitionHybrid(classes, profiles, HybridComponents{Long: plainOnly{NewLastTime(12)}})
+		},
+		"dynamichybrid": func() Predictor { return NewDynamicClassHybrid(10, 16, HybridComponents{}) },
+		"bimode":        func() Predictor { return NewBiMode(12, 11, 8) },
+		"yags":          func() Predictor { return NewYAGS(12, 8, 6, 8) },
+		"filter":        func() Predictor { return NewFilter(10, 8, NewGShare(12, 8)) },
+		"gskew":         func() Predictor { return NewGSkew(12, 8) },
 	}
-	stream := fusedStream(20000)
-	for name, build := range builders {
-		fused, separate := build(), build()
-		pu, ok := fused.(PredictUpdater)
-		if !ok {
-			t.Errorf("%s: does not implement PredictUpdater", name)
-			continue
-		}
-		for i, ev := range stream {
-			want := separate.Predict(ev.pc)
-			separate.Update(ev.pc, ev.taken)
-			if got := pu.PredictUpdate(ev.pc, ev.taken); got != want {
-				t.Fatalf("%s: event %d: fused=%v separate=%v", name, i, got, want)
+	for si, stream := range [][]struct {
+		pc    uint64
+		taken bool
+	}{fusedStream(20000), mixed} {
+		for name, build := range builders {
+			fused, separate := build(), build()
+			pu, ok := fused.(PredictUpdater)
+			if !ok {
+				t.Errorf("%s: does not implement PredictUpdater", name)
+				continue
+			}
+			for i, ev := range stream {
+				want := separate.Predict(ev.pc)
+				separate.Update(ev.pc, ev.taken)
+				if got := pu.PredictUpdate(ev.pc, ev.taken); got != want {
+					t.Fatalf("%s: stream %d event %d: fused=%v separate=%v", name, si, i, got, want)
+				}
 			}
 		}
 	}

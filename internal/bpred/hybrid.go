@@ -24,15 +24,24 @@ import (
 type ClassHybrid struct {
 	name    string
 	classes core.ClassMap
-	static  *StaticBias
-	biasTbl Predictor
-	short   Predictor
-	long    Predictor
+	// parts holds the components by route (routeStatic .. routeLong);
+	// steps holds the same components' fused steps.
+	parts [numRoutes]Predictor
+	steps [numRoutes]PredictUpdater
 	// takenOnly restricts classification to taken rate (the Chang et al.
 	// baseline): only taken classes 0/10 are diverted, everything else is
 	// long-history.
 	takenOnly bool
 }
+
+// The components a ClassHybrid steers between, indexing parts and steps.
+const (
+	routeStatic = iota
+	routeBias
+	routeShort
+	routeLong
+	numRoutes
+)
 
 // HybridComponents selects the dynamic components of a ClassHybrid.
 // Nil fields get sensible defaults.
@@ -83,97 +92,101 @@ func newClassHybrid(name string, classes core.ClassMap, profiles map[uint64]*cor
 		}
 	}
 	comp = comp.withDefaults()
-	return &ClassHybrid{
+	h := &ClassHybrid{
 		name:      name,
 		classes:   classes,
-		static:    NewStaticBias(bias),
-		biasTbl:   comp.BiasTable,
-		short:     comp.Short,
-		long:      comp.Long,
+		parts:     [numRoutes]Predictor{NewStaticBias(bias), comp.BiasTable, comp.Short, comp.Long},
 		takenOnly: takenOnly,
 	}
+	for i, p := range h.parts {
+		h.steps[i] = Fused(p)
+	}
+	return h
 }
 
 // Name implements Predictor.
 func (h *ClassHybrid) Name() string { return h.name }
 
-func (h *ClassHybrid) component(pc uint64) Predictor {
+// route resolves the component a branch is steered to, with one
+// class-map lookup.
+func (h *ClassHybrid) route(pc uint64) int {
 	jc, ok := h.classes[pc]
 	if !ok {
-		return h.long // unprofiled branch: no classification to act on
+		return routeLong // unprofiled branch: no classification to act on
 	}
 	extremeBias := jc.Taken == 0 || jc.Taken == 10
 	if h.takenOnly {
 		if extremeBias {
-			return h.static
+			return routeStatic
 		}
-		return h.long
+		return routeLong
 	}
 	switch {
 	case extremeBias && jc.Transition <= 1:
-		return h.static
+		return routeStatic
 	case jc.Transition <= 1:
-		return h.biasTbl
+		return routeBias
 	case jc.Transition >= 9:
-		return h.short
+		return routeShort
 	default:
-		return h.long
+		return routeLong
 	}
 }
 
 // Predict implements Predictor.
-func (h *ClassHybrid) Predict(pc uint64) bool { return h.component(pc).Predict(pc) }
+func (h *ClassHybrid) Predict(pc uint64) bool { return h.parts[h.route(pc)].Predict(pc) }
 
 // Update implements Predictor. Only the owning component trains on the
 // branch: the point of the classification is to keep easy branches out of
 // the pattern history tables, freeing those resources (and removing their
 // interference) for the hard branches.
 func (h *ClassHybrid) Update(pc uint64, taken bool) {
-	h.component(pc).Update(pc, taken)
+	h.parts[h.route(pc)].Update(pc, taken)
+}
+
+// PredictUpdate implements PredictUpdater: the branch is routed once and
+// its component takes one fused step.
+func (h *ClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
+	return h.steps[h.route(pc)].PredictUpdate(pc, taken)
 }
 
 // SizeBits implements Predictor. Static bias hints are profile outputs
 // carried in the binary, not predictor state.
 func (h *ClassHybrid) SizeBits() int64 {
-	return h.biasTbl.SizeBits() + h.short.SizeBits() + h.long.SizeBits()
+	return h.parts[routeBias].SizeBits() + h.parts[routeShort].SizeBits() + h.parts[routeLong].SizeBits()
 }
 
 // SnapshotBytes implements Snapshotter: the three dynamic components
 // (class map and profiled bias are fixed at construction); all must be
 // Snapshotters.
 func (h *ClassHybrid) SnapshotBytes() int64 {
-	return asSnapshotter(h.biasTbl, "ClassHybrid").SnapshotBytes() +
-		asSnapshotter(h.short, "ClassHybrid").SnapshotBytes() +
-		asSnapshotter(h.long, "ClassHybrid").SnapshotBytes()
+	var n int64
+	for _, p := range h.parts[routeBias:] {
+		n += asSnapshotter(p, "ClassHybrid").SnapshotBytes()
+	}
+	return n
 }
 
 // SnapshotTo implements Snapshotter.
 func (h *ClassHybrid) SnapshotTo(dst []byte) int {
-	n := asSnapshotter(h.biasTbl, "ClassHybrid").SnapshotTo(dst)
-	n += asSnapshotter(h.short, "ClassHybrid").SnapshotTo(dst[n:])
-	n += asSnapshotter(h.long, "ClassHybrid").SnapshotTo(dst[n:])
+	n := 0
+	for _, p := range h.parts[routeBias:] {
+		n += asSnapshotter(p, "ClassHybrid").SnapshotTo(dst[n:])
+	}
 	return n
 }
 
 // RestoreFrom implements Snapshotter.
 func (h *ClassHybrid) RestoreFrom(src []byte) int {
-	n := asSnapshotter(h.biasTbl, "ClassHybrid").RestoreFrom(src)
-	n += asSnapshotter(h.short, "ClassHybrid").RestoreFrom(src[n:])
-	n += asSnapshotter(h.long, "ClassHybrid").RestoreFrom(src[n:])
+	n := 0
+	for _, p := range h.parts[routeBias:] {
+		n += asSnapshotter(p, "ClassHybrid").RestoreFrom(src[n:])
+	}
 	return n
 }
 
 // ComponentFor exposes which component a branch is steered to ("static",
 // "bias-table", "short-local", "long-history"), for reporting.
 func (h *ClassHybrid) ComponentFor(pc uint64) string {
-	switch h.component(pc) {
-	case Predictor(h.static):
-		return "static"
-	case h.biasTbl:
-		return "bias-table"
-	case h.short:
-		return "short-local"
-	default:
-		return "long-history"
-	}
+	return [numRoutes]string{"static", "bias-table", "short-local", "long-history"}[h.route(pc)]
 }

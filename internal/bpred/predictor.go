@@ -45,6 +45,26 @@ func Step(p Predictor, pc uint64, taken bool) bool {
 	return predicted
 }
 
+// Fused returns p's fused step, or an adapter performing the separate
+// Predict-then-Update pair when p has none. Composite predictors resolve
+// their components through it once at construction, so their own
+// PredictUpdate pays no per-event type assertion.
+func Fused(p Predictor) PredictUpdater {
+	if pu, ok := p.(PredictUpdater); ok {
+		return pu
+	}
+	return separateStep{p}
+}
+
+// separateStep adapts a predictor without a fused path to PredictUpdater.
+type separateStep struct{ p Predictor }
+
+func (s separateStep) PredictUpdate(pc uint64, taken bool) bool {
+	predicted := s.p.Predict(pc)
+	s.p.Update(pc, taken)
+	return predicted
+}
+
 // Result summarises a predictor's accuracy over a stream.
 type Result struct {
 	Name   string

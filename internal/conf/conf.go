@@ -178,6 +178,14 @@ func (q *Quadrants) Observe(highConf, correct bool) {
 	}
 }
 
+// Add accumulates another confusion matrix into q.
+func (q *Quadrants) Add(o Quadrants) {
+	q.HighCorrect += o.HighCorrect
+	q.HighWrong += o.HighWrong
+	q.LowCorrect += o.LowCorrect
+	q.LowWrong += o.LowWrong
+}
+
 // Total returns the number of observations.
 func (q *Quadrants) Total() int64 {
 	return q.HighCorrect + q.HighWrong + q.LowCorrect + q.LowWrong

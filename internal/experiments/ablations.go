@@ -10,7 +10,6 @@ import (
 	"btr/internal/report"
 	"btr/internal/sim"
 	"btr/internal/stats"
-	"btr/internal/trace"
 )
 
 func init() {
@@ -43,11 +42,7 @@ func init() {
 // or transition signal; classifying openly does at least as well and
 // yields reusable information (advice, confidence, history lengths).
 func runImplicitClassificationAblation(c *Context, w io.Writer) error {
-	type row struct {
-		name  string
-		build func(in *sim.InputResult) bpred.Predictor
-	}
-	rows := []row{
+	rows := []predictorRow{
 		{"TransitionHybrid (explicit)", func(in *sim.InputResult) bpred.Predictor {
 			return bpred.NewTransitionHybrid(in.Classes, in.Profiles, bpred.HybridComponents{})
 		}},
@@ -71,9 +66,8 @@ func runImplicitClassificationAblation(c *Context, w io.Writer) error {
 		Title:   "A5 — Implicit vs explicit classification (suite miss rate)",
 		Headers: []string{"predictor", "miss rate", "state bits"},
 	}
-	for _, r := range rows {
-		miss, size := runPredictorOverSuite(c, r.build)
-		tbl.AddRow(r.name, report.Rate(miss), fmt.Sprintf("%d", size))
+	if err := addPredictorRows(c, &tbl, rows); err != nil {
+		return err
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
@@ -85,29 +79,49 @@ func runImplicitClassificationAblation(c *Context, w io.Writer) error {
 	return err
 }
 
-// runPredictorOverSuite replays every input through a freshly-built
-// predictor (built per input from its profile/classes) and returns the
-// aggregate miss rate and budget of the last-built instance.
-func runPredictorOverSuite(c *Context, build func(in *sim.InputResult) bpred.Predictor) (missRate float64, sizeBits int64) {
-	suite := c.Suite()
-	var misses, events int64
-	for _, in := range suite.Inputs {
-		p := build(in)
-		sizeBits = p.SizeBits()
-		sink := bpred.NewSink(p)
-		in.Replay(sink, c.Cfg.Scale)
-		misses += sink.Res.Misses
-		events += sink.Res.Events
+// predictorRow is one predictor an A1/A5 table compares, built per
+// input from its profile and classes.
+type predictorRow struct {
+	name  string
+	build func(in *sim.InputResult) bpred.Predictor
+}
+
+// missPartial is one (predictor, input) cell of the A1/A5 grid.
+type missPartial struct {
+	misses, events, sizeBits int64
+}
+
+// addPredictorRows replays every row's predictor over every suite input
+// on the replay grid and adds one table row per predictor: its suite
+// miss rate (misses and events summed in input order) and the budget of
+// the last input's instance.
+func addPredictorRows(c *Context, tbl *report.Table, rows []predictorRow) error {
+	names := make([]string, len(rows))
+	for r, row := range rows {
+		names[r] = row.name
 	}
-	return stats.Ratio(float64(misses), float64(events)), sizeBits
+	parts, err := replayGrid(c, names, func(r int, in *sim.InputResult) missPartial {
+		p := rows[r].build(in)
+		misses, events := sim.CountMisses(p, in, c.Cfg.Scale)
+		return missPartial{misses: misses, events: events, sizeBits: p.SizeBits()}
+	})
+	if err != nil {
+		return err
+	}
+	for r, row := range rows {
+		var sum missPartial
+		for _, p := range parts[r] {
+			sum.misses += p.misses
+			sum.events += p.events
+			sum.sizeBits = p.sizeBits
+		}
+		tbl.AddRow(row.name, report.Rate(stats.Ratio(float64(sum.misses), float64(sum.events))), fmt.Sprintf("%d", sum.sizeBits))
+	}
+	return nil
 }
 
 func runHybridAblation(c *Context, w io.Writer) error {
-	type row struct {
-		name  string
-		build func(in *sim.InputResult) bpred.Predictor
-	}
-	rows := []row{
+	rows := []predictorRow{
 		{"TransitionHybrid (§5.4)", func(in *sim.InputResult) bpred.Predictor {
 			return bpred.NewTransitionHybrid(in.Classes, in.Profiles, bpred.HybridComponents{})
 		}},
@@ -151,9 +165,8 @@ func runHybridAblation(c *Context, w io.Writer) error {
 		Title:   "A1 — Classification-guided hybrids vs monolithic predictors (suite miss rate)",
 		Headers: []string{"predictor", "miss rate", "state bits"},
 	}
-	for _, r := range rows {
-		miss, size := runPredictorOverSuite(c, r.build)
-		tbl.AddRow(r.name, report.Rate(miss), fmt.Sprintf("%d", size))
+	if err := addPredictorRows(c, &tbl, rows); err != nil {
+		return err
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
@@ -172,11 +185,10 @@ func runConfidenceAblation(c *Context, w io.Writer) error {
 	pasJoint, _ := suite.OptimalJoint(sim.KindPAs)
 
 	type entry struct {
-		name  string
-		make  func(in *sim.InputResult) conf.Estimator
-		quads conf.Quadrants
+		name string
+		make func(in *sim.InputResult) conf.Estimator
 	}
-	entries := []*entry{
+	entries := []entry{
 		{name: "class-static(0.08)", make: func(in *sim.InputResult) conf.Estimator {
 			return conf.NewClassStatic(in.Classes, pasJoint, 0.08)
 		}},
@@ -187,36 +199,52 @@ func runConfidenceAblation(c *Context, w io.Writer) error {
 			return conf.NewTwoLevel(12, 10, 15, 8)
 		}},
 	}
-	for _, in := range suite.Inputs {
+	// One grid row: every estimator watches the same PAs(k=8) stream, so
+	// each input's task steps the predictor once per event and returns
+	// one quadrant partial per estimator.
+	parts, err := replayGrid(c, []string{"PAs(k=8) estimators"}, func(_ int, in *sim.InputResult) []conf.Quadrants {
 		predictor := bpred.NewPAs(8)
 		ests := make([]conf.Estimator, len(entries))
 		for i, e := range entries {
 			ests[i] = e.make(in)
 		}
-		sink := trace.SinkFunc(func(pc uint64, taken bool) {
-			correct := predictor.Predict(pc) == taken
-			predictor.Update(pc, taken)
-			for i, est := range ests {
-				entries[i].quads.Observe(est.HighConfidence(pc), correct)
-				est.Update(pc, correct)
+		quads := make([]conf.Quadrants, len(entries))
+		in.EachChunk(c.Cfg.Scale, func(pcs, dirs []uint64, n int) {
+			for j := 0; j < n; j++ {
+				pc, taken := pcs[j], dirs[j>>6]&(1<<(uint(j)&63)) != 0
+				correct := predictor.PredictUpdate(pc, taken) == taken
+				for i, est := range ests {
+					quads[i].Observe(est.HighConfidence(pc), correct)
+					est.Update(pc, correct)
+				}
 			}
 		})
-		in.Replay(sink, c.Cfg.Scale)
+		return quads
+	})
+	if err != nil {
+		return err
+	}
+	suiteQuads := make([]conf.Quadrants, len(entries))
+	for _, quads := range parts[0] {
+		for i := range suiteQuads {
+			suiteQuads[i].Add(quads[i])
+		}
 	}
 	tbl := report.Table{
 		Title:   "A2 — Confidence estimation over PAs(k=8) (suite-wide)",
 		Headers: []string{"estimator", "SENS (misses caught)", "PVN (low-conf hit rate)", "SPEC"},
 	}
-	for _, e := range entries {
+	for i, e := range entries {
+		q := &suiteQuads[i]
 		tbl.AddRow(e.name,
-			report.Percent(e.quads.Sensitivity()),
-			report.Percent(e.quads.PredictiveValueNegative()),
-			report.Percent(e.quads.Specificity()))
+			report.Percent(q.Sensitivity()),
+			report.Percent(q.PredictiveValueNegative()),
+			report.Percent(q.Specificity()))
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintln(w, "\nthe class-static estimator needs no accuracy measurement hardware at all (§5.3).")
+	_, err = fmt.Fprintln(w, "\nthe class-static estimator needs no accuracy measurement hardware at all (§5.3).")
 	return err
 }
 

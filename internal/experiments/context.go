@@ -1,7 +1,8 @@
 // Package experiments contains one driver per table and figure in the
 // paper (T1, T2, F1-F15), the §4.2 coverage arithmetic (S1), and the §5
-// ablations (A1-A3). Each driver renders its artifact from a shared
-// SuiteResult so the expensive sweep runs once per process.
+// ablations (A1-A5). Each driver renders its artifact from a shared
+// SuiteResult so the expensive sweep runs once per process; the
+// ablations replay the suite's recordings on a (row × input) task grid.
 package experiments
 
 import (
@@ -24,6 +25,9 @@ type Context struct {
 
 	once  sync.Once
 	suite *sim.SuiteResult
+	// group is the scheduler group the suite ran as (SuiteGroup); the
+	// ablation replay grids join it, so canceling it reaches them too.
+	group *sched.Group
 }
 
 // Shared bundles the immutable-state substrate experiment contexts
@@ -133,17 +137,29 @@ func (c *Context) Suite() *sim.SuiteResult {
 // SuiteGroup is Suite with the first computation running as the given
 // scheduler group, so the caller can cancel the suite mid-run
 // (sched.Group.Cancel): brserve hands each request's group here and
-// cancels it when the client disconnects or a deadline fires. Inputs
-// dropped by the cancellation carry sim.ErrCanceled in
-// SuiteResult.Dropped. If the suite was already computed (by Suite or
-// an earlier SuiteGroup), the cached result is returned and g is
-// untouched. Configs that select a pool engine (NoSched, NoRecord)
-// ignore g, as sim.RunSuiteGroup does.
+// cancels it when the client disconnects or a deadline fires. The
+// ablations' replay grids later run in the same group, so canceling it
+// stops them too. Inputs dropped by the cancellation carry
+// sim.ErrCanceled in SuiteResult.Dropped. If the suite was already
+// computed (by Suite or an earlier SuiteGroup), the cached result is
+// returned and g is untouched. Configs that select a pool engine
+// (NoSched, NoRecord) run the suite outside g, as sim.RunSuiteGroup
+// does; their ablations still run in g.
 func (c *Context) SuiteGroup(g *sched.Group) *sim.SuiteResult {
 	c.once.Do(func() {
+		c.group = g
 		c.suite = sim.RunSuiteGroup(g, c.Specs, c.Cfg)
 	})
 	return c.suite
+}
+
+// replayGrid runs an ablation's (row × input) replay tasks over the
+// suite's inputs (sim.ReplayGrid): on the suite's group when it came
+// from SuiteGroup, else on the configured or a private scheduler.
+// Partials come back indexed [row][input].
+func replayGrid[T any](c *Context, rows []string, task func(row int, in *sim.InputResult) T) ([][]T, error) {
+	inputs := c.Suite().Inputs
+	return sim.ReplayGrid(c.Cfg, c.group, inputs, rows, task)
 }
 
 // Experiment is one reproducible artifact.

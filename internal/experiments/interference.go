@@ -7,8 +7,8 @@ import (
 	"btr/internal/bpred"
 	"btr/internal/core"
 	"btr/internal/report"
+	"btr/internal/sim"
 	"btr/internal/stats"
-	"btr/internal/trace"
 )
 
 func init() {
@@ -26,62 +26,73 @@ func init() {
 // The filtered configuration shows both less aliasing and a lower miss
 // rate on the very same hard branches — the §5.1 resource argument.
 func runInterferenceAblation(c *Context, w io.Writer) error {
-	suite := c.Suite()
-
 	type accum struct {
 		alias      bpred.AliasStats
 		hardMisses int64
 		hardEvents int64
 	}
-	var full, filtered accum
-
-	for _, in := range suite.Inputs {
+	// Two grid rows, one per configuration. Both score the SAME
+	// population — the hard branches that remain in the shared table —
+	// so the miss-rate column isolates what the easy branches' presence
+	// costs them.
+	cases := []string{"all branches in PHT", "easy branches filtered out (§5.1)"}
+	parts, err := replayGrid(c, cases, func(row int, in *sim.InputResult) accum {
+		filterEasy := row == 1
 		// Which branches stay in the shared table under classification?
 		stays := make(map[uint64]bool, len(in.Classes))
 		for pc, jc := range in.Classes {
 			adv := core.Advise(jc)
 			stays[pc] = adv == core.AdviseLongHistory || adv == core.AdviseNonPredictive
 		}
-
-		// Both cases score the SAME population — the hard branches that
-		// remain in the shared table — so the miss-rate column isolates
-		// what the easy branches' presence costs them.
-		runCase := func(filterEasy bool, acc *accum) {
-			g := bpred.NewGShare(bpred.GAsPHTBits, 12)
-			tr := bpred.NewAliasTracker(bpred.GAsPHTBits)
-			sink := trace.SinkFunc(func(pc uint64, taken bool) {
-				if filterEasy && !stays[pc] {
-					return
-				}
-				if stays[pc] {
-					if g.Predict(pc) != taken {
-						acc.hardMisses++
-					}
-					acc.hardEvents++
+		var acc accum
+		g := bpred.NewGShare(bpred.GAsPHTBits, 12)
+		tr := bpred.NewAliasTracker(bpred.GAsPHTBits)
+		in.EachChunk(c.Cfg.Scale, func(pcs, dirs []uint64, n int) {
+			for i := 0; i < n; i++ {
+				pc, taken := pcs[i], dirs[i>>6]&(1<<(uint(i)&63)) != 0
+				stay := stays[pc]
+				if filterEasy && !stay {
+					continue
 				}
 				tr.Observe(g.Index(pc), pc, taken)
-				g.Update(pc, taken)
-			})
-			in.Replay(sink, c.Cfg.Scale)
-			s := tr.Stats()
-			acc.alias.Updates += s.Updates
-			acc.alias.Aliased += s.Aliased
-			acc.alias.Destructive += s.Destructive
-		}
-		runCase(false, &full)
-		runCase(true, &filtered)
+				missed := g.PredictUpdate(pc, taken) != taken
+				if stay {
+					acc.hardEvents++
+					if missed {
+						acc.hardMisses++
+					}
+				}
+			}
+		})
+		acc.alias = tr.Stats()
+		return acc
+	})
+	if err != nil {
+		return err
 	}
+	var sums [2]accum
+	for row := range sums {
+		sum := &sums[row]
+		for _, p := range parts[row] {
+			sum.alias.Updates += p.alias.Updates
+			sum.alias.Aliased += p.alias.Aliased
+			sum.alias.Destructive += p.alias.Destructive
+			sum.hardMisses += p.hardMisses
+			sum.hardEvents += p.hardEvents
+		}
+	}
+	full, filtered := sums[0], sums[1]
 
 	tbl := report.Table{
 		Title:   "A4 — gshare(17,k=12) PHT interference, all branches vs classification-filtered",
 		Headers: []string{"configuration", "PHT updates", "aliased", "destructive", "hard-branch miss rate"},
 	}
-	tbl.AddRow("all branches in PHT",
+	tbl.AddRow(cases[0],
 		fmt.Sprintf("%d", full.alias.Updates),
 		report.Percent(full.alias.AliasedRate()),
 		report.Percent(full.alias.DestructiveRate()),
 		report.Rate(stats.Ratio(float64(full.hardMisses), float64(full.hardEvents))))
-	tbl.AddRow("easy branches filtered out (§5.1)",
+	tbl.AddRow(cases[1],
 		fmt.Sprintf("%d", filtered.alias.Updates),
 		report.Percent(filtered.alias.AliasedRate()),
 		report.Percent(filtered.alias.DestructiveRate()),
@@ -89,7 +100,7 @@ func runInterferenceAblation(c *Context, w io.Writer) error {
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w,
+	_, err = fmt.Fprintf(w,
 		"\nboth rows score the same hard-branch population (%d dynamic branches);\n"+
 			"the difference is what the easy branches' table pressure costs them.\n",
 		full.hardEvents)

@@ -139,3 +139,75 @@ func TestClientDisconnectCancels(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestDisconnectCancelsAblation: the ablations' replay grid runs in the
+// request's group, so a client that hangs up while A1 is replaying
+// stops it — the grid's queued tasks skip their replay, the request is
+// tallied as canceled rather than completed, and its admission slot
+// frees for the next request. The hang-up is timed off the scheduler's
+// injector counter: the suite submits one task per input through the
+// injector, and everything past that is the A1 grid.
+func TestDisconnectCancelsAblation(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 1})
+
+	before := s.sched.Stats().InjectorSubmits
+	body, err := json.Marshal(Request{Experiments: []string{"A1"}, Specs: testSpecs, Scale: 5 * testScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/experiments", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make(chan string)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+
+	suiteSubmits := int64(len(testSpecs))
+	deadline := time.Now().Add(60 * time.Second)
+	for s.sched.Stats().InjectorSubmits <= before+suiteSubmits {
+		if time.Now().After(deadline) {
+			t.Fatal("the A1 replay grid never started")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	cancel()
+	for line := range lines {
+		var r Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		if r.Type == "experiment" || r.Type == "summary" {
+			t.Fatalf("canceled A1 request streamed a %q record", r.Type)
+		}
+	}
+	resp.Body.Close()
+
+	for s.Metrics().Requests.InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never drained the canceled ablation: %+v", s.Metrics().Requests)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if m := s.Metrics().Requests; m.Canceled != 1 || m.Completed != 0 || m.Failed != 0 {
+		t.Fatalf("tallies %+v, want the request canceled, not completed or failed", m)
+	}
+
+	// The only slot is free again: a follow-up request runs to the end.
+	code, recs := post(t, ts.URL, Request{Experiments: []string{"T1"}, Specs: testSpecs, Scale: testScale})
+	if code != http.StatusOK || len(outputsByID(recs)) != 1 {
+		t.Fatalf("post-cancel request: status %d, records %v", code, recs)
+	}
+}

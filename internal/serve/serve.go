@@ -431,10 +431,12 @@ func (s *Server) deadlineFor(req *Request) time.Duration {
 // rendered artifact (in request order, flushed as each completes), one
 // dropped record per failed input, and a closing summary. A panic out
 // of the suite run — one tenant's bug — becomes an error record on
-// this stream only. A canceled group (disconnect, deadline) ends the
-// stream with a terminal "canceled" record instead of experiments; the
-// write is best-effort, since the usual cause is a client that is no
-// longer there.
+// this stream only. The ablations' replay grids run in the request's
+// group too, so a canceled group (disconnect, deadline) stops the suite
+// or the experiment in progress, and the stream ends with a terminal
+// "canceled" record instead of further experiments; the write is
+// best-effort, since the usual cause is a client that is no longer
+// there.
 func (s *Server) stream(w http.ResponseWriter, g *sched.Group, ids []string, ctx *experiments.Context) {
 	start := time.Now()
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -464,13 +466,16 @@ func (s *Server) stream(w http.ResponseWriter, g *sched.Group, ids []string, ctx
 		emit(Record{Type: "error", Error: err.Error()})
 		return
 	}
-	if g.Canceled() {
+	canceled := func() {
 		s.canceled.Add(1)
 		emit(Record{
 			Type:      "canceled",
 			Dropped:   len(suite.Dropped),
 			ElapsedMS: time.Since(start).Milliseconds(),
 		})
+	}
+	if g.Canceled() {
+		canceled()
 		return
 	}
 
@@ -481,7 +486,12 @@ func (s *Server) stream(w http.ResponseWriter, g *sched.Group, ids []string, ctx
 			continue
 		}
 		var buf strings.Builder
-		if runErr := e.Run(ctx, &buf); runErr != nil {
+		runErr := e.Run(ctx, &buf)
+		if g.Canceled() {
+			canceled()
+			return
+		}
+		if runErr != nil {
 			emit(Record{Type: "error", ID: id, Error: runErr.Error()})
 			continue
 		}

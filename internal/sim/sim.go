@@ -388,16 +388,6 @@ func (m *MemStats) Add(other *MemStats) {
 	}
 }
 
-// Replay drives the input's event stream through sink: the recorded trace
-// when present, otherwise a fresh generator run at the given scale.
-func (r *InputResult) Replay(sink trace.Sink, scale float64) {
-	if r.Recorded != nil {
-		r.Recorded.Replay(sink)
-		return
-	}
-	r.Spec.Run(sink, scale)
-}
-
 // ProfileInput runs pass 1 only: profile and classify one input.
 func ProfileInput(spec workload.Spec, scale float64) (*core.Profiler, core.ClassMap) {
 	profiler := core.NewProfiler()
