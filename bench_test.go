@@ -76,67 +76,37 @@ func BenchmarkInterference(b *testing.B)    { benchExperiment(b, "A4") }
 func BenchmarkImplicitSchemes(b *testing.B) { benchExperiment(b, "A5") }
 
 // BenchmarkSuiteSweep measures the full two-pass pipeline itself (events
-// per op reported via custom metric): the record-once/replay-many engine
-// with the predictor bank sharded across goroutines. Scale 1.0 is the
+// per op reported via custom metric) on one registry-scale input: the
+// profile task records the stream, the attribution grid classifies it,
+// and the bank sweep runs as 34 per-slot chains of one-chunk tasks over
+// shared decoded columns on GOMAXPROCS workers. Scale 1.0 is the
 // registry-default input sizing, so the measurement reflects the
 // pipeline as experiments actually run it.
 func BenchmarkSuiteSweep(b *testing.B) {
-	benchSweep(b, SimConfig{Scale: 1.0})
-}
-
-// BenchmarkSuiteSweepRegenerate measures the original pipeline — the
-// generator re-runs for pass 2 and the bank is driven serially — as the
-// baseline the replay engine is compared against.
-func BenchmarkSuiteSweepRegenerate(b *testing.B) {
-	benchSweep(b, SimConfig{Scale: 1.0, NoRecord: true})
-}
-
-// BenchmarkSuiteSweepScheduled measures the same pipeline driven by the
-// global work-stealing scheduler (the RunSuite default): the profile
-// task fans its 34-slot bank sweep out as per-slot chains of chunk-range
-// tasks over shared pre-decoded columns, so even this single-input suite
-// fills every core and never decodes the trace twice. It must beat
-// BenchmarkSuiteSweepRegenerate wall-clock at GOMAXPROCS > 1 and stay
-// ahead of the legacy pool at GOMAXPROCS = 1 (the sweep reuses the
-// attribution pass's decode instead of paying its own).
-func BenchmarkSuiteSweepScheduled(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0})
-}
-
-// BenchmarkSuiteSweepSlotOnly is the PR-2 scheduler shape — whole-trace
-// slot-batch tasks, one decode per batch — kept for isolating the
-// chunk-axis contribution on the same suite sweep.
-func BenchmarkSuiteSweepSlotOnly(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0, ChunkTasks: -1})
-}
-
-// BenchmarkSuiteSweepLegacyPool is the PR-1 nested-pool suite engine
-// over the same input, for isolating the scheduler's contribution.
-func BenchmarkSuiteSweepLegacyPool(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0, NoSched: true})
+	benchSingleInput(b, SimConfig{Scale: 1.0})
 }
 
 // BenchmarkSuiteSweepStreaming is the out-of-core pipeline on the same
 // input: pass 1 streams the recording to a spill file keeping at most
 // ~4 KiB of chunk columns resident (the recording is ~30 KiB, so the
 // run genuinely pages), and the sweep's decoded pool is capped below
-// the decoded trace. The gap to BenchmarkSuiteSweepScheduled is the
-// price of bounded memory — spill I/O plus re-decodes — on a trace
+// the decoded trace. The gap to BenchmarkSuiteSweep is the price of
+// bounded memory — spill I/O plus re-decodes — on a trace
 // that would comfortably fit; paper-scale traces have no retained
 // alternative to compare against.
 func BenchmarkSuiteSweepStreaming(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10})
+	benchSingleInput(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10})
 }
 
 // BenchmarkSuiteSweepStreamingReadAhead is BenchmarkSuiteSweepStreaming
 // with the read-ahead pipeline on: every sweep chain hints 4 chunks
-// ahead, so spill page-ins and BTR1 decode run on the prefetch workers
+// ahead, so spill page-ins and BTR2 decode run on the prefetch workers
 // (coalesced into run-sized reads) instead of stalling the chains. The
 // delta to BenchmarkSuiteSweepStreaming is the recovered streaming tax;
-// the residual gap to BenchmarkSuiteSweepScheduled is what bounded
-// memory still costs.
+// the residual gap to BenchmarkSuiteSweep is what bounded memory still
+// costs.
 func BenchmarkSuiteSweepStreamingReadAhead(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10, ReadAhead: 4})
+	benchSingleInput(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10, ReadAhead: 4})
 }
 
 // BenchmarkSingleInputStreaming is the streaming counterpart of
@@ -161,33 +131,21 @@ func BenchmarkSingleInputStreamingReadAhead(b *testing.B) {
 const singleInputScale = 50.0
 
 // BenchmarkSingleInputSaturation is the chunk-axis headline: ONE large
-// input (gcc/genoutput.i at 50× registry scale) on GOMAXPROCS workers
-// under the (slot × chunk-range) grid. Every core gets chunk-range
-// tasks stolen off the 34 slot chains, and no task re-decodes the trace.
-// Compare against BenchmarkSingleInputSlotOnly, the PR-2 decomposition
-// of exactly the same run: on a multi-core runner the grid's finer tail
-// and shared decode are the difference; at GOMAXPROCS = 1 the shared
-// decode alone keeps it ahead.
+// input (gcc/genoutput.i at 50× registry scale) on GOMAXPROCS workers.
+// Every core gets one-chunk tasks stolen off the 34 slot chains, and no
+// task re-decodes the trace.
 func BenchmarkSingleInputSaturation(b *testing.B) {
 	benchSingleInput(b, SimConfig{Scale: singleInputScale})
 }
 
-// BenchmarkSingleInputSlotOnly is the slot-only baseline for
-// BenchmarkSingleInputSaturation: same input, same workers, whole-trace
-// slot-batch tasks clamped to the worker count.
-func BenchmarkSingleInputSlotOnly(b *testing.B) {
-	benchSingleInput(b, SimConfig{Scale: singleInputScale, ChunkTasks: -1})
-}
-
-// BenchmarkSingleInputSnapshot is the checkpointed intra-slot engine on
-// the saturation input: every one of the 34 bank slots splits into 4
-// checkpointed chunk ranges, so the sweep runs as 136 independent tasks
-// (reported as sweeptasks/op — well past the 34-chain ceiling) on
-// GOMAXPROCS workers. Against BenchmarkSingleInputSaturation the delta
-// is the checkpointing overhead (the update-only warmup replays all but
-// the last range twice, plus snapshot copies); the engine wins
-// wall-clock only when cores outnumber the 34 slots, which is why it is
-// off by default.
+// BenchmarkSingleInputSnapshot is the saturation input with every one
+// of the 34 bank slots split into 4 checkpointed chunk ranges, so the
+// sweep runs as 136 independent chains (reported as sweepchains/op —
+// well past the 34-chain ceiling) on GOMAXPROCS workers. Against
+// BenchmarkSingleInputSaturation the delta is the checkpointing
+// overhead (the update-only warmup replays all but the last range
+// twice, plus snapshot copies); splitting wins wall-clock only when
+// cores outnumber the 34 slots, which is why it is off by default.
 func BenchmarkSingleInputSnapshot(b *testing.B) {
 	const ranges = 4
 	spec, err := FindWorkload("gcc", "genoutput.i")
@@ -204,48 +162,11 @@ func BenchmarkSingleInputSnapshot(b *testing.B) {
 		snaps += suite.Mem.SnapshotCount
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	// snapshots/op = slots × (ranges-1), so tasks/op = snapshots × R/(R-1).
-	b.ReportMetric(float64(snaps)/float64(b.N)*ranges/(ranges-1), "sweeptasks/op")
-}
-
-// BenchmarkSingleInputStreamingMmap is BenchmarkSingleInputStreaming
-// with the spill file mmapped: paged chunks decode straight from the
-// mapping instead of issuing one pread per page-in. The delta between
-// the two is the syscall + copy cost of pread-based paging.
-func BenchmarkSingleInputStreamingMmap(b *testing.B) {
-	benchSingleInput(b, SimConfig{Scale: singleInputScale, MemBudget: 64 << 10, DecodedBudget: 1 << 20, MmapSpill: true})
+	// snapshots/op = slots × (ranges-1), so chains/op = snapshots × R/(R-1).
+	b.ReportMetric(float64(snaps)/float64(b.N)*ranges/(ranges-1), "sweepchains/op")
 }
 
 func benchSingleInput(b *testing.B, cfg SimConfig) {
-	spec, err := FindWorkload("gcc", "genoutput.i")
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := []WorkloadSpec{spec}
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		suite := RunSuite(specs, cfg)
-		events += suite.TotalEvents()
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-func benchSweep(b *testing.B, cfg SimConfig) {
-	spec, err := FindWorkload("gcc", "genoutput.i")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		res := RunInput(spec, cfg)
-		events += res.Events
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-func benchSweepSuite(b *testing.B, cfg SimConfig) {
 	spec, err := FindWorkload("gcc", "genoutput.i")
 	if err != nil {
 		b.Fatal(err)
@@ -307,6 +228,9 @@ func BenchmarkProfiler(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadCompress runs one generator into a counting sink and
+// nothing else, so no simulator change can move it: benchtrend
+// normalises every other benchmark to it within each snapshot.
 func BenchmarkWorkloadCompress(b *testing.B) {
 	spec, err := FindWorkload("compress", "bigtest.in")
 	if err != nil {

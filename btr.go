@@ -103,7 +103,7 @@ type (
 
 	// TraceCache shares recorded workload traces across runs and
 	// experiment contexts, keyed by (workload name, spec fingerprint,
-	// scale, chunk size), optionally spilling to BTR1 files. Assign one
+	// scale, chunk size), optionally spilling to BTR2 files. Assign one
 	// to SimConfig.Cache.
 	TraceCache = trace.Cache
 	// TraceCacheKey identifies one recording in a TraceCache.
@@ -207,15 +207,17 @@ func ProfileWorkload(spec WorkloadSpec, scale float64) *Profiler {
 }
 
 // RunInput runs the full two-pass pipeline (profile, then the PAs/GAs
-// history sweep) for one workload.
+// history sweep) for one workload: a one-spec RunSuite. A workload that
+// fails panics with its error.
 func RunInput(spec WorkloadSpec, cfg SimConfig) *InputResult {
 	return sim.RunInput(spec, cfg)
 }
 
 // RunSuite runs the two-pass pipeline over the given specs and aggregates
-// (dynamic-occurrence weighted) exactly as the paper reports. The default
-// engine is a global work-stealing scheduler over (input, bank-batch)
-// tasks; cfg.NoSched selects the legacy nested pools, bit-identically.
+// (dynamic-occurrence weighted) exactly as the paper reports. Every
+// input runs as a task grid — profile, attribution over chunk ranges,
+// then the bank sweep's (slot × range) chains — on one work-stealing
+// scheduler: cfg.Sched, or a private one of cfg.Workers workers.
 func RunSuite(specs []WorkloadSpec, cfg SimConfig) *SuiteResult {
 	return sim.RunSuite(specs, cfg)
 }
@@ -261,7 +263,7 @@ const DefaultTraceCacheBytes = trace.DefaultCacheBytes
 
 // NewTraceCache builds a recorded-trace cache bounded to maxBytes of
 // resident columns (<= 0 means unbounded). A non-empty spillDir makes it
-// persistent: traces are written through as BTR1 files and reloaded on
+// persistent: traces are written through as BTR2 spill files and reloaded on
 // demand, including by later processes pointed at the same directory.
 // Spill filenames embed the workload registry's fingerprint (a hash of
 // every spec's name, target and seed), so a directory written by a

@@ -5,16 +5,16 @@
 //
 // Usage:
 //
-//	benchtrend -old BENCH_4.json -new BENCH_6.json \
-//	           -baseline SuiteSweepRegenerate -threshold 10 -failat 25
+//	benchtrend -old BENCH_12.json -new BENCH_13.json \
+//	           -baseline WorkloadCompress -threshold 10 -failat 25
 //
 // Snapshots are usually measured on different machines (the old one is
 // committed by a previous PR, the new one comes off the current
 // runner), so raw ns/op is not comparable across them. With -baseline,
 // every benchmark is first normalised to the named benchmark *within
-// its own snapshot* — the regenerating pipeline is the natural yardstick,
-// since every PR carries it unchanged — and the thresholds apply to the
-// movement of that ratio. Movement past -threshold is flagged ("!");
+// its own snapshot* — a generator-only benchmark is the natural
+// yardstick, since no simulator change can move it — and the thresholds
+// apply to the movement of that ratio. Movement past -threshold is flagged ("!");
 // only movement past -failat fails the run: normalisation damps but
 // does not remove cross-machine noise (generator-bound and sweep-bound
 // benchmarks scale differently across CPUs), so the flag line is the
@@ -85,7 +85,7 @@ func baselineNs(m map[key]Benchmark, name string, w int) float64 {
 func main() {
 	oldPath := flag.String("old", "", "previous BENCH_<pr>.json snapshot")
 	newPath := flag.String("new", "", "current BENCH_<pr>.json snapshot")
-	baseline := flag.String("baseline", "SuiteSweepRegenerate", "benchmark every other one is normalised to within its snapshot; empty = compare raw ns/op")
+	baseline := flag.String("baseline", "WorkloadCompress", "benchmark every other one is normalised to within its snapshot; empty = compare raw ns/op")
 	threshold := flag.Float64("threshold", 10, "flag benchmarks that move by more than this percentage")
 	failat := flag.Float64("failat", 25, "fail when a benchmark slows by more than this percentage (0 = fail at -threshold)")
 	flag.Parse()

@@ -3,9 +3,9 @@
 // Usage:
 //
 //	brexp [-scale 1.0] [-workers N] [-out results] [-run all|T1,F13,...]
-//	      [-sched=false] [-chunktasks N] [-cachedir dir]
+//	      [-chunk N] [-cachedir dir]
 //	      [-membudget bytes] [-decodedbudget bytes]
-//	      [-snapshotranges N] [-mmap] [-readahead N]
+//	      [-snapshotranges N] [-readahead N]
 //
 // Each experiment is written to <out>/<id>.txt; -list shows the catalog.
 package main
@@ -26,17 +26,12 @@ import (
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale; 1.0 = Table 1 counts /1000")
 	workers := flag.Int("workers", 0, "scheduler workers (0 = GOMAXPROCS)")
-	bankWorkers := flag.Int("bankworkers", 0, "sweep batches per input's predictor bank in the non-chunked engines (0 = GOMAXPROCS)")
-	chunk := flag.Int("chunk", 0, "recorded-trace chunk size in events (0 = default)")
-	chunkTasks := flag.Int("chunktasks", 0, "chunks per (slot, chunk-range) sweep task (0 = default; negative = whole-trace slot batches, the pre-chunk-axis shape)")
-	noRecord := flag.Bool("norecord", false, "regenerate workloads per pass instead of record/replay (slower, lower memory)")
-	sched := flag.Bool("sched", true, "global work-stealing scheduler over (input, bank-batch) tasks; false = legacy nested pools")
-	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR1 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
+	chunk := flag.Int("chunk", 0, "recorded-trace chunk size in events, which is also one sweep task's grain (0 = default)")
+	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR2 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
 	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decoded-chunk pool during the bank sweep; LRU columns past it are re-decoded on the next visit (0 = retain all decoded columns, negative = retain none)")
-	snapshotRanges := flag.Int("snapshotranges", 0, "split every bank slot's sweep into this many checkpointed chunk ranges that run concurrently from restored predictor snapshots; breaks the 34-slot parallelism ceiling when cores outnumber slots (0 = chained sweep, the default; results are bit-identical either way)")
-	readAhead := flag.Int("readahead", 0, "prefetch this many chunks ahead of every sweep cursor: spill paging and BTR1 decode overlap with predictor compute, with prefetched columns charged against -decodedbudget (0 = no read-ahead; results are bit-identical either way)")
-	mmapSpill := flag.Bool("mmap", false, "mmap spill-backed recordings and decode paged chunks from the mapping instead of pread (needs -membudget or -cachedir to produce spill files; falls back silently where unsupported)")
-	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR1 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
+	snapshotRanges := flag.Int("snapshotranges", 0, "split every bank slot's sweep into this many checkpointed chunk ranges that run concurrently from restored predictor snapshots; breaks the 34-slot parallelism ceiling when cores outnumber slots (0 or 1 = one range per slot, the default; results are bit-identical either way)")
+	readAhead := flag.Int("readahead", 0, "prefetch this many chunks ahead of every sweep cursor: spill paging and BTR2 decode overlap with predictor compute, with prefetched columns charged against -decodedbudget (0 = no read-ahead; results are bit-identical either way)")
+	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR2 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	out := flag.String("out", "results", "output directory")
 	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -69,15 +64,10 @@ func main() {
 	cfg := btr.SimConfig{
 		Scale:          *scale,
 		Workers:        *workers,
-		BankWorkers:    *bankWorkers,
 		ChunkEvents:    *chunk,
-		ChunkTasks:     *chunkTasks,
-		NoRecord:       *noRecord,
-		NoSched:        !*sched,
 		MemBudget:      *memBudget,
 		DecodedBudget:  *decodedBudget,
 		SnapshotRanges: *snapshotRanges,
-		MmapSpill:      *mmapSpill,
 		ReadAhead:      *readAhead,
 	}
 	if *cachedir != "" {
@@ -91,13 +81,10 @@ func main() {
 	}
 	// Build the scheduler explicitly (rather than letting the suite run
 	// spin up a private one) so its counters survive the run and can be
-	// reported below. Only the scheduled engine uses it.
-	var pool *btr.Scheduler
-	if !cfg.NoSched && !cfg.NoRecord {
-		pool = btr.NewScheduler(*workers)
-		defer pool.Close()
-		cfg.Sched = pool
-	}
+	// reported below.
+	pool := btr.NewScheduler(*workers)
+	defer pool.Close()
+	cfg.Sched = pool
 	ctx := btr.NewExperimentContext(cfg)
 	start := time.Now()
 	// Run the shared sweep up front on a cancelable group: SIGINT/SIGTERM
@@ -105,25 +92,23 @@ func main() {
 	// unwind at task boundaries) instead of leaving a killed process and
 	// half-written artifacts. Once the sweep is done the handler is
 	// released, so a later interrupt behaves normally.
-	if pool != nil {
-		group := pool.NewGroup()
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			if _, ok := <-sigc; ok {
-				fmt.Fprintln(os.Stderr, "brexp: interrupted — canceling suite run")
-				group.Cancel()
-			}
-		}()
-		suite := ctx.SuiteGroup(group)
-		signal.Stop(sigc)
-		close(sigc)
-		if group.Canceled() {
-			for _, d := range suite.Dropped {
-				fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
-			}
-			fatal(fmt.Errorf("suite run canceled (%d inputs dropped); no artifacts written", len(suite.Dropped)))
+	group := pool.NewGroup()
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		if _, ok := <-sigc; ok {
+			fmt.Fprintln(os.Stderr, "brexp: interrupted — canceling suite run")
+			group.Cancel()
 		}
+	}()
+	suite := ctx.SuiteGroup(group)
+	signal.Stop(sigc)
+	close(sigc)
+	if group.Canceled() {
+		for _, d := range suite.Dropped {
+			fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
+		}
+		fatal(fmt.Errorf("suite run canceled (%d inputs dropped); no artifacts written", len(suite.Dropped)))
 	}
 	for _, id := range ids {
 		path := filepath.Join(*out, id+".txt")
@@ -149,7 +134,6 @@ func main() {
 			fmt.Println(string(data))
 		}
 	}
-	suite := ctx.Suite()
 	for _, d := range suite.Dropped {
 		fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
 	}
@@ -162,11 +146,9 @@ func main() {
 				m.SnapshotCount, m.SnapshotBytes, m.SnapshotPeak)
 		}
 	}
-	if pool != nil {
-		s := pool.Stats()
-		fmt.Printf("sched: executed=%d steals=%d submits=%d parks=%d workers=%d\n",
-			s.Executed, s.Steals, s.InjectorSubmits, s.Parks, s.Workers)
-	}
+	ss := pool.Stats()
+	fmt.Printf("sched: executed=%d steals=%d submits=%d parks=%d workers=%d\n",
+		ss.Executed, ss.Steals, ss.InjectorSubmits, ss.Parks, ss.Workers)
 	if cfg.Cache != nil {
 		s := cfg.Cache.Stats()
 		fmt.Printf("trace cache: hits=%d misses=%d loads=%d spills=%d evicted=%d quarantined=%d resident=%d/%dB\n",

@@ -33,8 +33,8 @@ func main() {
 	tracePath := flag.String("trace", "", "BTR1 trace file instead of a workload")
 	pred := flag.String("pred", "pas", "predictor kind")
 	k := flag.Int("k", 8, "history length")
-	memBudget := flag.Int64("membudget", 0, "stream the recording to a BTR1 spill file, keeping at most about this many resident bytes; replays page the rest back in (0 = retain the recording whole)")
-	cachedir := flag.String("cachedir", "", "reuse recorded workload traces as BTR1 files in this directory across invocations (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
+	memBudget := flag.Int64("membudget", 0, "stream the recording to a BTR2 spill file, keeping at most about this many resident bytes; replays page the rest back in (0 = retain the recording whole)")
+	cachedir := flag.String("cachedir", "", "reuse recorded workload traces as BTR2 spill files in this directory across invocations (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	memStats := flag.Bool("memstats", false, "report the recording's memory shape (encoded bytes, resident peak, page-ins) after the run")
 	snapshotRanges := flag.Int("snapshotranges", 0, "replay the recording as this many checkpointed chunk ranges in parallel (pas and gas only; 0 or 1 = chained replay, the default; results are bit-identical either way)")
 	workers := flag.Int("workers", 0, "concurrent range workers for -snapshotranges (0 = GOMAXPROCS)")
@@ -46,7 +46,7 @@ func main() {
 	// it again, so the generator runs once no matter how many passes the
 	// predictor needs. With -membudget the recording streams to a spill
 	// file with a bounded resident prefix instead of being retained
-	// whole; with -cachedir it persists as a BTR1 spill file, so repeated
+	// whole; with -cachedir it persists as a BTR2 spill file, so repeated
 	// invocations skip the generator entirely.
 	var recorded *trace.Handle
 	var cache *trace.Cache
@@ -145,9 +145,9 @@ func main() {
 			if *snapshotRanges > 1 {
 				if mk := snapshotFactory(*pred, *k); mk != nil {
 					var stats sim.SnapshotRunStats
-					res, stats = sim.RunPredictorSnapshot(recorded, mk, *snapshotRanges, *workers)
+					res, stats, err = sim.RunPredictorSnapshot(recorded, mk, *snapshotRanges, *workers)
 					snapStats = &stats
-					return nil
+					return err
 				}
 				fmt.Fprintf(os.Stderr, "brsim: warning: -snapshotranges supports pas and gas only; replaying %s chained\n", *pred)
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,45 +13,76 @@ import (
 	"btr/internal/sim"
 )
 
-// goldenScale is the suite scale the ablation goldens were captured at.
+// goldenScale is the suite scale the artifact goldens were captured at.
 const goldenScale = 0.05
 
-// TestAblationGoldens pins A1–A5 byte for byte. The goldens in testdata
-// were rendered at scale 0.05 over the full Table 1 suite by the serial
-// per-input replay the (row × input) grid replaced; the grid must
-// reproduce them on schedulers of any width, with its tasks stealing in
-// whatever order the workers happen to take them.
+// TestAblationGoldens pins every artifact — T1, T2, S1, X1, F1–F15 and
+// the A1–A5 ablations — byte for byte. The goldens in testdata are
+// brexp's output at scale 0.05 over the full Table 1 suite. Each
+// configuration runs the whole pipeline from scratch (fresh caches, its
+// own scheduler) across worker counts, one or three checkpointed ranges
+// per bank slot, and fully retained recordings or a 64 KiB resident
+// budget with a 128 KiB decoded pool and 4 chunks of read-ahead; every
+// one must reproduce every golden exactly.
 func TestAblationGoldens(t *testing.T) {
-	base := NewContextShared(sim.Config{Scale: goldenScale}, NewShared(0, ""))
-	suite := base.Suite()
-	if len(suite.Dropped) > 0 {
-		t.Fatalf("suite dropped inputs: %v", suite.Dropped)
+	want := make(map[string][]byte)
+	for _, e := range All() {
+		data, err := os.ReadFile(filepath.Join("testdata", e.ID+".scale0.05.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e.ID] = data
+	}
+	if len(want) != 24 {
+		t.Fatalf("%d artifacts registered, want 24", len(want))
+	}
+	shapes := []struct {
+		name         string
+		mem, decoded int64
+		readAhead    int
+	}{
+		{"retained", 0, 0, 0},
+		{"budgeted", 64 << 10, 128 << 10, 4},
 	}
 	for _, workers := range []int{1, 2, 4} {
-		s := sched.New(workers)
-		// Every width reuses the one computed suite; the grid runs in a
-		// group on the width's scheduler, as after SuiteGroup.
-		ctx := &Context{Cfg: base.Cfg, Specs: base.Specs}
-		ctx.Cfg.Sched = s
-		ctx.once.Do(func() { ctx.suite, ctx.group = suite, s.NewGroup() })
-		for _, id := range []string{"A1", "A2", "A3", "A4", "A5"} {
-			want, err := os.ReadFile(filepath.Join("testdata", id+".scale0.05.golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := Find(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			if err := e.Run(ctx, &got); err != nil {
-				t.Fatalf("%d workers: %s: %v", workers, id, err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%d workers: %s differs from its golden:\n--- got\n%s--- want\n%s", workers, id, got.Bytes(), want)
+		for _, ranges := range []int{0, 3} {
+			for _, shape := range shapes {
+				t.Run(fmt.Sprintf("workers=%d/ranges=%d/%s", workers, ranges, shape.name), func(t *testing.T) {
+					// Configurations share nothing (own scheduler, own caches),
+					// so they run in parallel to keep the race job's time down.
+					t.Parallel()
+					s := sched.New(workers)
+					defer s.Close()
+					cfg := sim.Config{
+						Scale:          goldenScale,
+						Sched:          s,
+						SnapshotRanges: ranges,
+						MemBudget:      shape.mem,
+						DecodedBudget:  shape.decoded,
+						ReadAhead:      shape.readAhead,
+					}
+					// A nil bundle gives the budgeted shape private caches
+					// bounded to its budget; the retained shape gets a fresh one.
+					var sh *Shared
+					if shape.mem == 0 {
+						sh = NewShared(0, "")
+					}
+					ctx := NewContextShared(cfg, sh)
+					if suite := ctx.SuiteGroup(s.NewGroup()); len(suite.Dropped) > 0 {
+						t.Fatalf("suite dropped inputs: %v", suite.Dropped)
+					}
+					for _, e := range All() {
+						var got bytes.Buffer
+						if err := e.Run(ctx, &got); err != nil {
+							t.Fatalf("%s: %v", e.ID, err)
+						}
+						if !bytes.Equal(got.Bytes(), want[e.ID]) {
+							t.Errorf("%s differs from its golden:\n--- got\n%s--- want\n%s", e.ID, got.Bytes(), want[e.ID])
+						}
+					}
+				})
 			}
 		}
-		s.Close()
 	}
 }
 

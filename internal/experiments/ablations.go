@@ -102,7 +102,7 @@ func addPredictorRows(c *Context, tbl *report.Table, rows []predictorRow) error 
 	}
 	parts, err := replayGrid(c, names, func(r int, in *sim.InputResult) missPartial {
 		p := rows[r].build(in)
-		misses, events := sim.CountMisses(p, in, c.Cfg.Scale)
+		misses, events := sim.CountMisses(p, in)
 		return missPartial{misses: misses, events: events, sizeBits: p.SizeBits()}
 	})
 	if err != nil {
@@ -209,7 +209,7 @@ func runConfidenceAblation(c *Context, w io.Writer) error {
 			ests[i] = e.make(in)
 		}
 		quads := make([]conf.Quadrants, len(entries))
-		in.EachChunk(c.Cfg.Scale, func(pcs, dirs []uint64, n int) {
+		in.EachChunk(func(pcs, dirs []uint64, n int) {
 			for j := 0; j < n; j++ {
 				pc, taken := pcs[j], dirs[j>>6]&(1<<(uint(j)&63)) != 0
 				correct := predictor.PredictUpdate(pc, taken) == taken

@@ -145,9 +145,6 @@ func TestNewContextDefaultsToSharedCache(t *testing.T) {
 	if c1.Cfg.Profiles == nil || c1.Cfg.Profiles != c2.Cfg.Profiles {
 		t.Fatal("contexts must share the process-wide profile cache by default")
 	}
-	if noRec := NewContext(sim.Config{NoRecord: true}); noRec.Cfg.Cache != nil || noRec.Cfg.Profiles != nil {
-		t.Fatal("NoRecord context must not get caches")
-	}
 	private := trace.NewCache(0, "", 0)
 	if NewContext(sim.Config{Cache: private}).Cfg.Cache != private {
 		t.Fatal("explicit cache must be kept")

@@ -49,7 +49,7 @@ type Shared struct {
 
 // NewShared builds an explicit bundle: a trace cache bounded to
 // cacheBytes of resident columns (<= 0 means trace.DefaultCacheBytes)
-// spilling BTR1 files to spillDir ("" = memory only), plus a
+// spilling BTR2 files to spillDir ("" = memory only), plus a
 // default-budget profile cache. Servers construct one of these and
 // hand it to every session; CLIs usually go through SharedFor.
 func NewShared(cacheBytes int64, spillDir string) *Shared {
@@ -104,24 +104,22 @@ func NewContext(cfg sim.Config) *Context {
 // attribution columns are O(trace) too) is tightened to the same
 // number. An explicit bundle is used as given — its owner (a server
 // applying per-request budgets over one substrate) has already chosen
-// the sizes. cfg.NoRecord disables caching entirely.
+// the sizes.
 func NewContextShared(cfg sim.Config, sh *Shared) *Context {
-	if !cfg.NoRecord {
-		if sh == nil {
-			if cfg.MemBudget > 0 && cfg.Cache == nil {
-				cfg.Cache = trace.NewCache(cfg.MemBudget, "", workload.RegistryFingerprint())
-				if cfg.Profiles == nil {
-					cfg.Profiles = sim.NewProfileCacheBytes(cfg.MemBudget)
-				}
+	if sh == nil {
+		if cfg.MemBudget > 0 && cfg.Cache == nil {
+			cfg.Cache = trace.NewCache(cfg.MemBudget, "", workload.RegistryFingerprint())
+			if cfg.Profiles == nil {
+				cfg.Profiles = sim.NewProfileCacheBytes(cfg.MemBudget)
 			}
-			sh = SharedFor("")
 		}
-		if cfg.Cache == nil {
-			cfg.Cache = sh.Traces
-		}
-		if cfg.Profiles == nil {
-			cfg.Profiles = sh.Profiles
-		}
+		sh = SharedFor("")
+	}
+	if cfg.Cache == nil {
+		cfg.Cache = sh.Traces
+	}
+	if cfg.Profiles == nil {
+		cfg.Profiles = sh.Profiles
 	}
 	return &Context{Cfg: cfg, Specs: workload.Suite()}
 }
@@ -142,9 +140,7 @@ func (c *Context) Suite() *sim.SuiteResult {
 // stops them too. Inputs dropped by the cancellation carry
 // sim.ErrCanceled in SuiteResult.Dropped. If the suite was already
 // computed (by Suite or an earlier SuiteGroup), the cached result is
-// returned and g is untouched. Configs that select a pool engine
-// (NoSched, NoRecord) run the suite outside g, as sim.RunSuiteGroup
-// does; their ablations still run in g.
+// returned and g is untouched.
 func (c *Context) SuiteGroup(g *sched.Group) *sim.SuiteResult {
 	c.once.Do(func() {
 		c.group = g

@@ -47,7 +47,7 @@ func runInterferenceAblation(c *Context, w io.Writer) error {
 		var acc accum
 		g := bpred.NewGShare(bpred.GAsPHTBits, 12)
 		tr := bpred.NewAliasTracker(bpred.GAsPHTBits)
-		in.EachChunk(c.Cfg.Scale, func(pcs, dirs []uint64, n int) {
+		in.EachChunk(func(pcs, dirs []uint64, n int) {
 			for i := 0; i < n; i++ {
 				pc, taken := pcs[i], dirs[i>>6]&(1<<(uint(i)&63)) != 0
 				stay := stays[pc]

@@ -5,14 +5,14 @@
 //
 // The shape it replaces — a per-suite pool of input goroutines, each
 // spawning a private pool for its predictor-bank sweep — either
-// oversubscribes (Workers × BankWorkers goroutines) or idles: once the
-// small inputs drain, one large input's sweep is stuck on its private
-// pool while every other core sits empty. Here there is exactly one
-// pool. Each worker owns a lock-free Chase-Lev deque; tasks it spawns
-// push onto the bottom of its own deque and are popped LIFO (the next
-// chunk range of the sweep chain it just advanced is the hottest work it
-// has — the predictor tables are still in cache), while idle workers
-// steal from the top of a victim's deque FIFO (the oldest task is most
+// oversubscribes (inputs × bank goroutines) or idles: once the small
+// inputs drain, one large input's sweep is stuck on its private pool
+// while every other core sits empty. Here there is exactly one pool.
+// Each worker owns a lock-free Chase-Lev deque; tasks it spawns push
+// onto the bottom of its own deque and are popped LIFO (the next chunk
+// of the sweep chain it just advanced is the hottest work it has — the
+// predictor tables are still in cache), while idle workers steal from
+// the top of a victim's deque FIFO (the oldest task is most
 // likely an un-started chain head or profile task — the biggest unit
 // available, so a thief amortises its steal). External submissions land
 // in a shared injector queue that workers drain when their own deque is

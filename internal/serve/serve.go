@@ -123,10 +123,9 @@ type Request struct {
 	// (sim.Config.MemBudget / DecodedBudget).
 	MemBudget     int64 `json:"membudget,omitempty"`
 	DecodedBudget int64 `json:"decodedbudget,omitempty"`
-	// ChunkTasks / SnapshotRanges / ReadAhead / Window tune the sweep
-	// exactly like the brexp flags of the same names; all
-	// result-invisible.
-	ChunkTasks     int `json:"chunktasks,omitempty"`
+	// SnapshotRanges / ReadAhead tune the sweep exactly like the brexp
+	// flags of the same names (both result-invisible); Window is the
+	// Figure 15 bin count (sim.Config.HardDistanceWindow).
 	SnapshotRanges int `json:"snapshotranges,omitempty"`
 	ReadAhead      int `json:"readahead,omitempty"`
 	Window         int `json:"window,omitempty"`
@@ -334,7 +333,6 @@ func (s *Server) resolve(req *Request) (ids []string, specs []workload.Spec, cfg
 	cfg = sim.Config{
 		Scale:              scale,
 		HardDistanceWindow: req.Window,
-		ChunkTasks:         req.ChunkTasks,
 		MemBudget:          req.MemBudget,
 		DecodedBudget:      req.DecodedBudget,
 		SnapshotRanges:     req.SnapshotRanges,

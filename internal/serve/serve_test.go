@@ -132,6 +132,37 @@ func TestStreamBitIdenticalToBrexp(t *testing.T) {
 	}
 }
 
+// TestRetiredRequestFieldsIgnored: a body written for an older server,
+// carrying a sweep knob that no longer exists ("chunktasks"), still
+// runs and streams the same artifact as the equivalent current body.
+func TestRetiredRequestFieldsIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"experiments":["T1"],"specs":["perl/primes.pl"],"scale":0.02,"chunktasks":-1}`
+	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	var legacy string
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var rec Record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == "experiment" {
+			legacy = rec.Output
+		}
+	}
+	_, recs := post(t, ts.URL, Request{Experiments: []string{"T1"}, Specs: []string{"perl/primes.pl"}, Scale: testScale})
+	if legacy == "" || legacy != outputsByID(recs)["T1"] {
+		t.Fatalf("legacy body streamed %q, current body %q", legacy, outputsByID(recs)["T1"])
+	}
+}
+
 // TestConcurrentRequestsShareSubstrate is the acceptance walk: two
 // concurrent requests after a warm one do zero generator runs (the
 // trace-cache miss counter IS the generator-run counter for registry

@@ -88,69 +88,30 @@ func ReplayGrid[T any](cfg Config, g *sched.Group, inputs []*InputResult, rows [
 	return out, nil
 }
 
-// EachChunk drives the input's event stream through fn one chunk of
-// columns at a time — event i's PC is pcs[i] and its direction bit i&63
-// of dirs[i>>6]; both are valid only during the call. The stream is
-// the recording's chunks when there is one (spilled chunks page in and
-// panic on a paging error, as trace.ChunkReader does), otherwise a
-// fresh generator run at scale (Config.NoRecord) batched into
-// chunk-sized columns, so every ablation replays through the same
-// column loop either way.
-func (r *InputResult) EachChunk(scale float64, fn func(pcs, dirs []uint64, n int)) {
-	if r.Recorded != nil {
-		rep := r.Recorded.ChunkReader()
-		for {
-			pcs, dirs, n, ok := rep.NextChunk()
-			if !ok {
-				return
-			}
-			fn(pcs, dirs, n)
+// EachChunk drives the input's recorded event stream through fn one
+// chunk of columns at a time — event i's PC is pcs[i] and its direction
+// bit i&63 of dirs[i>>6]; both are valid only during the call. Spilled
+// chunks page in and panic on a paging error, as trace.ChunkReader
+// does.
+func (r *InputResult) EachChunk(fn func(pcs, dirs []uint64, n int)) {
+	rep := r.Recorded.ChunkReader()
+	for {
+		pcs, dirs, n, ok := rep.NextChunk()
+		if !ok {
+			return
 		}
+		fn(pcs, dirs, n)
 	}
-	b := &chunkBatcher{
-		pcs:  make([]uint64, trace.DefaultChunkEvents),
-		dirs: make([]uint64, trace.DefaultChunkEvents/64),
-		fn:   fn,
-	}
-	r.Spec.Run(b, scale)
-	b.flush()
-}
-
-// chunkBatcher packs a generator's events into chunk columns.
-type chunkBatcher struct {
-	pcs, dirs []uint64
-	n         int
-	fn        func(pcs, dirs []uint64, n int)
-}
-
-func (b *chunkBatcher) Branch(pc uint64, taken bool) {
-	b.pcs[b.n] = pc
-	if taken {
-		b.dirs[b.n>>6] |= 1 << (uint(b.n) & 63)
-	}
-	b.n++
-	if b.n == len(b.pcs) {
-		b.flush()
-	}
-}
-
-func (b *chunkBatcher) flush() {
-	if b.n == 0 {
-		return
-	}
-	b.fn(b.pcs, b.dirs, b.n)
-	clear(b.dirs)
-	b.n = 0
 }
 
 // CountMisses drives p over the input's stream with the predict-then-
 // update protocol and returns its mispredictions and the event count.
 // Predictors with a batch kernel (PAs, GAs) sweep whole chunks; the
 // rest take one fused step per event (bpred.Fused).
-func CountMisses(p bpred.Predictor, in *InputResult, scale float64) (misses, events int64) {
+func CountMisses(p bpred.Predictor, in *InputResult) (misses, events int64) {
 	if sw, ok := p.(chunkSweeper); ok {
 		wrong := make([]uint64, (trace.DefaultChunkEvents+63)/64)
-		in.EachChunk(scale, func(pcs, dirs []uint64, n int) {
+		in.EachChunk(func(pcs, dirs []uint64, n int) {
 			words := (n + 63) / 64
 			if words > len(wrong) {
 				wrong = make([]uint64, words)
@@ -165,7 +126,7 @@ func CountMisses(p bpred.Predictor, in *InputResult, scale float64) (misses, eve
 		return misses, events
 	}
 	step := bpred.Fused(p)
-	in.EachChunk(scale, func(pcs, dirs []uint64, n int) {
+	in.EachChunk(func(pcs, dirs []uint64, n int) {
 		for i := 0; i < n; i++ {
 			taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
 			if step.PredictUpdate(pcs[i], taken) != taken {

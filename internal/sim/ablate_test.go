@@ -56,7 +56,7 @@ func TestReplayGridMatchesSerialReplay(t *testing.T) {
 		}
 	}
 	task := func(r int, in *InputResult) partial {
-		m, e := CountMisses(gridRows[r].build(in), in, testScale)
+		m, e := CountMisses(gridRows[r].build(in), in)
 		return partial{m, e}
 	}
 	check := func(label string, got [][]partial, err error) {
@@ -85,47 +85,6 @@ func TestReplayGridMatchesSerialReplay(t *testing.T) {
 	}
 }
 
-// TestEachChunkRegeneratesWithoutRecording: under NoRecord there is no
-// recording, so EachChunk batches a fresh generator run into columns —
-// the same event stream, and the same miss counts, as the recording.
-func TestEachChunkRegeneratesWithoutRecording(t *testing.T) {
-	spec := testSpec(t, "compress", "bigtest.in") // spans several chunks
-	recorded := RunInput(spec, Config{Scale: testScale})
-	regen := RunInput(spec, Config{Scale: testScale, NoRecord: true})
-	if regen.Recorded != nil {
-		t.Fatal("NoRecord input carries a recording")
-	}
-	collect := func(in *InputResult) (pcs []uint64, dirs []bool) {
-		in.EachChunk(testScale, func(p, d []uint64, n int) {
-			for i := 0; i < n; i++ {
-				pcs = append(pcs, p[i])
-				dirs = append(dirs, d[i>>6]&(1<<(uint(i)&63)) != 0)
-			}
-		})
-		return pcs, dirs
-	}
-	wantPCs, wantDirs := collect(recorded)
-	gotPCs, gotDirs := collect(regen)
-	if int64(len(wantPCs)) != recorded.Events || len(gotPCs) != len(wantPCs) {
-		t.Fatalf("event counts: regenerated %d, recorded %d, profiled %d", len(gotPCs), len(wantPCs), recorded.Events)
-	}
-	if len(wantPCs) <= trace.DefaultChunkEvents {
-		t.Fatalf("stream of %d events never crosses a chunk boundary", len(wantPCs))
-	}
-	for i := range wantPCs {
-		if gotPCs[i] != wantPCs[i] || gotDirs[i] != wantDirs[i] {
-			t.Fatalf("event %d: regenerated (%#x,%v) recorded (%#x,%v)", i, gotPCs[i], gotDirs[i], wantPCs[i], wantDirs[i])
-		}
-	}
-	for _, row := range gridRows {
-		wm, we := CountMisses(row.build(recorded), recorded, testScale)
-		gm, ge := CountMisses(row.build(regen), regen, testScale)
-		if wm != gm || we != ge {
-			t.Fatalf("%s: regenerated %d/%d, recorded %d/%d", row.name, gm, ge, wm, we)
-		}
-	}
-}
-
 // TestReplayGridCorruptSpillIsError: a spill file damaged after the
 // suite ran makes the replay's page-in fail. The grid turns the panic
 // into an error that names the row and the input and still unwraps to
@@ -146,7 +105,7 @@ func TestReplayGridCorruptSpillIsError(t *testing.T) {
 	corruptFile(t, cfg.Cache.SpillPathFor(cfg.cacheKey(spec)))
 
 	_, err := ReplayGrid(cfg, nil, suite.Inputs, gridRowNames(), func(r int, in *InputResult) int64 {
-		m, _ := CountMisses(gridRows[r].build(in), in, testScale)
+		m, _ := CountMisses(gridRows[r].build(in), in)
 		return m
 	})
 	if !errors.Is(err, trace.ErrCorruptSpill) {

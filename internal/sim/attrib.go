@@ -6,40 +6,38 @@ import (
 	"btr/internal/core"
 	"btr/internal/sched"
 	"btr/internal/stats"
-	"btr/internal/trace"
 	"btr/internal/workload"
 )
 
-// attribGrid is the scheduled engine's parallel attribution pre-pass:
-// the per-event class column, Exec counts and Figure 15 hard distances
-// that attributeSequential derives in one replay are instead computed
-// per chunk range, in parallel, through the same decoded-chunk pool the
-// bank sweep will use (warming it in the process). Class resolution and
-// Exec attribution are embarrassingly parallel — each range writes a
-// disjoint classIdx segment and its own counters — while the hard
-// distances, whose chain crosses range boundaries, are stitched
-// sequentially from per-range (first, last) hard positions once every
-// range has finished. The stitch is exact, not approximate: within-range
-// distances use the same raw positions the sequential pass subtracts,
-// and each boundary distance is firstHard(range r) − lastHard(range
-// r−1), so the result is bit-identical (TestScheduledMatchesLegacy).
+// attribGrid is the parallel attribution pre-pass: the per-event class
+// column (which the sweep attributes misses against, instead of hitting
+// the class map once per slot per event), Exec counts and Figure 15
+// hard distances are computed per chunk range, in parallel, through the
+// same decoded-chunk pool the bank sweep will use (warming it in the
+// process). Class resolution and Exec attribution are embarrassingly
+// parallel — each range writes a disjoint classIdx segment and its own
+// counters — while the hard distances, whose chain crosses range
+// boundaries, are stitched sequentially from per-range (first, last)
+// hard positions once every range has finished. The stitch is exact,
+// not approximate: within-range distances use the same raw positions a
+// serial pass subtracts, and each boundary distance is firstHard(range
+// r) − lastHard(range r−1), so the result is bit-identical to a serial
+// pass (TestSuiteMatchesOracle).
 //
 // The last range to finish performs the stitch, publishes the profile
 // cache entry, and launches the bank sweep on the shared pool.
 type attribGrid struct {
+	gridGuard
 	cfg      Config
 	spec     workload.Spec
 	res      *InputResult
 	classIdx []uint8
 	lookup   classLookup
-	pool     *trace.DecodedPool
 	stride   int // chunks per range
 	parts    []attribPart
 
 	remaining atomic.Int32
-	failed    atomic.Bool
 	out       **InputResult
-	errOut    *error
 }
 
 // attribPart is one range's private attribution state. firstHard and
@@ -65,16 +63,15 @@ func newAttribGrid(cfg Config, spec workload.Spec, res *InputResult, workers int
 		ranges = (nchunks + stride - 1) / stride
 	}
 	g := &attribGrid{
-		cfg:      cfg,
-		spec:     spec,
-		res:      res,
-		classIdx: make([]uint8, res.Recorded.Events()),
-		lookup:   denseClasses(res.Classes),
-		pool:     cfg.newDecodedPool(res.Recorded),
-		stride:   stride,
-		parts:    make([]attribPart, ranges),
-		out:      out,
-		errOut:   errOut,
+		gridGuard: gridGuard{pool: cfg.newDecodedPool(res.Recorded), errOut: errOut},
+		cfg:       cfg,
+		spec:      spec,
+		res:       res,
+		classIdx:  make([]uint8, res.Recorded.Events()),
+		lookup:    denseClasses(res.Classes),
+		stride:    stride,
+		parts:     make([]attribPart, ranges),
+		out:       out,
 	}
 	g.remaining.Store(int32(ranges))
 	return g
@@ -94,31 +91,12 @@ func (g *attribGrid) launch(w *sched.Worker) {
 }
 
 // runPart attributes one chunk range. A panic (a paging failure, or a
-// corrupt spill) poisons the grid: the cause is recorded once, the
+// corrupt spill) or a canceled group poisons the grid (gridGuard): the
 // remaining counter never reaches zero, the sweep never launches, and
-// the input is reported via SuiteResult.Dropped. Group cancellation
-// poisons the same way with ErrCanceled.
+// the input is reported via SuiteResult.Dropped.
 func (g *attribGrid) runPart(w *sched.Worker, r int) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if g.failed.CompareAndSwap(false, true) {
-				*g.errOut = recoveredErr("attribution failed", rec)
-				// The sweep never launches, so finalizeMem never stops the
-				// prefetcher; the poisoning task does it here.
-				g.pool.CancelPrefetch()
-				g.pool.ClosePrefetch()
-			}
-		}
-	}()
-	if g.failed.Load() {
-		return
-	}
-	if w.Canceled() {
-		if g.failed.CompareAndSwap(false, true) {
-			*g.errOut = ErrCanceled
-			g.pool.CancelPrefetch()
-			g.pool.ClosePrefetch()
-		}
+	defer g.guard("attribution failed")
+	if g.bail(w) {
 		return
 	}
 	p := &g.parts[r]
@@ -131,20 +109,8 @@ func (g *attribGrid) runPart(w *sched.Worker, r int) {
 	}
 	pf := r*g.stride + 1
 	for k := r * g.stride; k < end; k++ {
-		if g.cfg.ReadAhead > 0 {
-			// Hint the range's upcoming window; ranges are disjoint, so
-			// hints stop at the range boundary.
-			hi := k + 1 + g.cfg.ReadAhead
-			if hi > end {
-				hi = end
-			}
-			if pf <= k {
-				pf = k + 1
-			}
-			for ; pf < hi; pf++ {
-				g.pool.Prefetch(pf)
-			}
-		}
+		// Ranges are disjoint, so hints stop at the range boundary.
+		prefetchWindow(g.pool, g.cfg.ReadAhead, &pf, k, end)
 		d := g.pool.Checkout(k)
 		for i := 0; i < d.N; i++ {
 			ci := g.lookup.classOf(d.PCs[i], g.res.Classes)

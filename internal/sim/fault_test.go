@@ -16,6 +16,12 @@ import (
 // scan or a page-in checksum must reject it.
 func corruptFile(t *testing.T, path string) {
 	t.Helper()
+	corruptFileAt(t, path, 3, 4)
+}
+
+// corruptFileAt XORs one bit num/den of the way into the file.
+func corruptFileAt(t *testing.T, path string, num, den int64) {
+	t.Helper()
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatalf("open %s: %v", path, err)
@@ -25,7 +31,7 @@ func corruptFile(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := st.Size() * 3 / 4
+	off := st.Size() * num / den
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ const DefaultProfileCacheBytes = 1 << 28 // 256 MiB
 //
 // Entries deliberately do NOT hold the recorded trace: the recording's
 // lifetime belongs to the trace.Cache and its LRU byte budget, and a
-// profile entry pinning it would defeat that bound. profileStage re-
+// profile entry pinning it would defeat that bound. profileCached re-
 // fetches the recording on a hit and recomputes from scratch in the
 // rare case it was evicted without a spill path. What an entry does
 // retain — the attribution column (~1 byte/event) and the per-branch
@@ -125,8 +125,8 @@ func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, []uint
 	return &res, e.classIdx, true
 }
 
-// put snapshots res (which must not have Miss filled yet — profileStage
-// calls it before any sweep runs) under key, dropping the recording
+// put snapshots res (which must not have Miss filled yet — the
+// attribution grid calls it before the sweep launches) under key, dropping the recording
 // reference so the trace.Cache stays the recording's only owner, then
 // evicts least-recently-used entries past the byte budget. First writer
 // wins; a concurrent duplicate of the same deterministic result is

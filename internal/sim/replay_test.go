@@ -9,10 +9,10 @@ import (
 	"btr/internal/workload"
 )
 
-// TestReplayMatchesRegenerate is the golden equivalence test for the
-// record-once/replay-many engine: for several real workloads, the sharded
-// replay pipeline must reproduce the regenerate-twice pipeline's Exec,
-// Miss, and HardDistances counts bit-for-bit.
+// TestReplayMatchesRegenerate pins the record-once/replay-many engine
+// on real workloads: for several of them, RunInput's replay of the
+// recording must reproduce the regenerating oracle's Exec, Miss,
+// HardDistances and class map bit-for-bit.
 func TestReplayMatchesRegenerate(t *testing.T) {
 	workloads := []struct{ bench, input string }{
 		{"compress", "bigtest.in"},
@@ -26,51 +26,24 @@ func TestReplayMatchesRegenerate(t *testing.T) {
 			t.Parallel()
 			spec := testSpec(t, wl.bench, wl.input)
 			cfg := Config{Scale: testScale}
-
-			replay := RunInput(spec, cfg)
-
-			legacy := cfg
-			legacy.NoRecord = true
-			direct := RunInput(spec, legacy)
-
-			if replay.Events != direct.Events || replay.Sites != direct.Sites {
-				t.Fatalf("events/sites diverged: %d/%d vs %d/%d",
-					replay.Events, replay.Sites, direct.Events, direct.Sites)
-			}
-			if replay.Exec != direct.Exec {
-				t.Fatal("Exec attribution diverged")
-			}
-			if replay.Miss != direct.Miss {
-				for kind := Kind(0); kind < NumKinds; kind++ {
-					for k := 0; k < NumHistories; k++ {
-						if replay.Miss[kind][k] != direct.Miss[kind][k] {
-							t.Fatalf("Miss diverged at %v k=%d: replay total %d, direct total %d",
-								kind, k, replay.Miss[kind][k].Total(), direct.Miss[kind][k].Total())
-						}
-					}
-				}
-				t.Fatal("Miss diverged")
-			}
-			if !reflect.DeepEqual(replay.HardDistances.Bins, direct.HardDistances.Bins) {
-				t.Fatalf("HardDistances diverged: %v vs %v",
-					replay.HardDistances.Bins, direct.HardDistances.Bins)
-			}
-			if !reflect.DeepEqual(replay.Classes, direct.Classes) {
-				t.Fatal("class maps diverged")
-			}
+			specs := []workload.Spec{spec}
+			want := oracleSuite(specs, cfg)
+			got := aggregate([]*InputResult{RunInput(spec, cfg)}, specs, nil, cfg)
+			assertSuitesEqual(t, "replay-vs-regenerate", want, got)
 		})
 	}
 }
 
-// TestReplayBankWorkerCountIrrelevant pins the sharding determinism claim:
-// any worker count produces identical miss counts.
+// TestReplayBankWorkerCountIrrelevant pins the sharding determinism
+// claim: any number of workers sweeping the bank — fewer than, equal
+// to or more than its 34 slots — produces identical miss counts.
 func TestReplayBankWorkerCountIrrelevant(t *testing.T) {
 	spec := testSpec(t, "m88ksim", "ctl.lit")
-	base := RunInput(spec, Config{Scale: testScale, BankWorkers: 1})
-	for _, workers := range []int{2, 7, int(NumKinds) * NumHistories} {
-		got := RunInput(spec, Config{Scale: testScale, BankWorkers: workers})
+	base := RunInput(spec, Config{Scale: testScale, Workers: 1})
+	for _, workers := range []int{2, 7, numBankSlots + 3} {
+		got := RunInput(spec, Config{Scale: testScale, Workers: workers})
 		if got.Miss != base.Miss || got.Exec != base.Exec {
-			t.Fatalf("BankWorkers=%d changed results", workers)
+			t.Fatalf("Workers=%d changed results", workers)
 		}
 	}
 }
@@ -93,44 +66,32 @@ func TestReplayChunkSizeIrrelevant(t *testing.T) {
 
 // TestRunSuitePanickingWorkloadDropped pins suite resilience: a workload
 // whose generator panics is dropped and reported — spec and recovered
-// panic value included — and the rest of the suite completes. All three
-// engines (chunked scheduler, slot-only scheduler, legacy pool) must
-// behave identically.
+// panic value included — and the rest of the suite completes.
 func TestRunSuitePanickingWorkloadDropped(t *testing.T) {
-	cases := []struct {
-		label string
-		cfg   Config
-	}{
-		{"chunked", Config{Scale: testScale, Workers: 2}},
-		{"slot-only", Config{Scale: testScale, Workers: 2, ChunkTasks: -1}},
-		{"legacy-pool", Config{Scale: testScale, Workers: 2, NoSched: true}},
+	bad := workload.NewSpec("synthetic", "panics", 100, 1,
+		func(tr *workload.T, r *rng.Rand, target int64) {
+			panic("synthetic workload failure")
+		})
+	good := testSpec(t, "perl", "primes.pl")
+	suite := RunSuite([]workload.Spec{bad, good}, Config{Scale: testScale, Workers: 2})
+	if len(suite.Dropped) != 1 {
+		t.Fatalf("Dropped = %v, want 1 entry", suite.Dropped)
 	}
-	for _, tc := range cases {
-		bad := workload.NewSpec("synthetic", "panics", 100, 1,
-			func(tr *workload.T, r *rng.Rand, target int64) {
-				panic("synthetic workload failure")
-			})
-		good := testSpec(t, "perl", "primes.pl")
-		suite := RunSuite([]workload.Spec{bad, good}, tc.cfg)
-		if len(suite.Dropped) != 1 {
-			t.Fatalf("%s: Dropped = %v, want 1 entry", tc.label, suite.Dropped)
-		}
-		d := suite.Dropped[0]
-		if d.Spec.Bench != "synthetic" || d.Spec.Input != "panics" {
-			t.Fatalf("%s: dropped spec %q, want synthetic/panics", tc.label, d.Spec.Name())
-		}
-		if d.Err == nil || !strings.Contains(d.Err.Error(), "synthetic workload failure") {
-			t.Fatalf("%s: dropped err %v must carry the panic value", tc.label, d.Err)
-		}
-		if !strings.Contains(d.Error(), "synthetic/panics") {
-			t.Fatalf("%s: Error() = %q must name the input", tc.label, d.Error())
-		}
-		if len(suite.Inputs) != 1 || suite.Inputs[0].Spec.Bench != "perl" {
-			t.Fatalf("%s: surviving inputs wrong: %d", tc.label, len(suite.Inputs))
-		}
-		if suite.TotalEvents() == 0 {
-			t.Fatalf("%s: surviving workload's events lost", tc.label)
-		}
+	d := suite.Dropped[0]
+	if d.Spec.Bench != "synthetic" || d.Spec.Input != "panics" {
+		t.Fatalf("dropped spec %q, want synthetic/panics", d.Spec.Name())
+	}
+	if d.Err == nil || !strings.Contains(d.Err.Error(), "synthetic workload failure") {
+		t.Fatalf("dropped err %v must carry the panic value", d.Err)
+	}
+	if !strings.Contains(d.Error(), "synthetic/panics") {
+		t.Fatalf("Error() = %q must name the input", d.Error())
+	}
+	if len(suite.Inputs) != 1 || suite.Inputs[0].Spec.Bench != "perl" {
+		t.Fatalf("surviving inputs wrong: %d", len(suite.Inputs))
+	}
+	if suite.TotalEvents() == 0 {
+		t.Fatal("surviving workload's events lost")
 	}
 }
 

@@ -1,115 +1,10 @@
 package sim
 
 import (
-	"fmt"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"btr/internal/workload"
 )
-
-// TestScheduledMatchesLegacy is the golden equivalence test for the
-// global work-stealing scheduler: over several real workloads and
-// worker counts {1, 4, GOMAXPROCS}, the scheduled engine must reproduce
-// the legacy nested-pool engine — and the NoRecord regenerating engine
-// — bit-for-bit, per input and in aggregate.
-func TestScheduledMatchesLegacy(t *testing.T) {
-	specs := []workload.Spec{
-		testSpec(t, "compress", "bigtest.in"),
-		testSpec(t, "gcc", "genoutput.i"),
-		testSpec(t, "vortex", "vortex.lit"),
-		testSpec(t, "perl", "primes.pl"),
-		testSpec(t, "li", "ref.lsp"),
-	}
-	base := Config{Scale: testScale}
-
-	legacyCfg := base
-	legacyCfg.NoSched = true
-	legacy := RunSuite(specs, legacyCfg)
-
-	norecCfg := base
-	norecCfg.NoRecord = true
-	norec := RunSuite(specs, norecCfg)
-	assertSuitesEqual(t, "norecord-vs-legacy", legacy, norec)
-
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, workers := range workerCounts {
-		cfg := base
-		cfg.Workers = workers
-		sched := RunSuite(specs, cfg)
-		assertSuitesEqual(t, "scheduled-vs-legacy", legacy, sched)
-	}
-}
-
-// TestChunkedMatrixMatchesLegacy is the chunk-axis equivalence matrix:
-// {legacy pool, slot-only scheduler, slot×chunk scheduler} × workers
-// {1, 4, GOMAXPROCS} × chunk-task sizes {1, 7, all} must all produce
-// bit-identical SuiteResults. A small ChunkEvents forces many chunks at
-// test scale so the chunk axis genuinely has ranges to split.
-func TestChunkedMatrixMatchesLegacy(t *testing.T) {
-	specs := []workload.Spec{
-		testSpec(t, "compress", "bigtest.in"),
-		testSpec(t, "gcc", "genoutput.i"),
-		testSpec(t, "li", "ref.lsp"),
-	}
-	base := Config{Scale: testScale, ChunkEvents: 256}
-
-	legacyCfg := base
-	legacyCfg.NoSched = true
-	legacy := RunSuite(specs, legacyCfg)
-
-	const allChunks = 1 << 30
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		slotCfg := base
-		slotCfg.Workers = workers
-		slotCfg.ChunkTasks = -1
-		assertSuitesEqual(t, fmt.Sprintf("slot-only/workers=%d", workers),
-			legacy, RunSuite(specs, slotCfg))
-		for _, stride := range []int{1, 7, allChunks} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.ChunkTasks = stride
-			assertSuitesEqual(t, fmt.Sprintf("chunked/workers=%d/stride=%d", workers, stride),
-				legacy, RunSuite(specs, cfg))
-		}
-	}
-}
-
-func assertSuitesEqual(t *testing.T, label string, want, got *SuiteResult) {
-	t.Helper()
-	if len(want.Inputs) != len(got.Inputs) {
-		t.Fatalf("%s: input counts %d vs %d", label, len(want.Inputs), len(got.Inputs))
-	}
-	for i := range want.Inputs {
-		w, g := want.Inputs[i], got.Inputs[i]
-		if w.Spec.Name() != g.Spec.Name() {
-			t.Fatalf("%s: input order diverged: %s vs %s", label, w.Spec.Name(), g.Spec.Name())
-		}
-		if w.Events != g.Events || w.Sites != g.Sites {
-			t.Fatalf("%s/%s: events/sites %d/%d vs %d/%d",
-				label, w.Spec.Name(), w.Events, w.Sites, g.Events, g.Sites)
-		}
-		if w.Exec != g.Exec {
-			t.Fatalf("%s/%s: Exec attribution diverged", label, w.Spec.Name())
-		}
-		if w.Miss != g.Miss {
-			t.Fatalf("%s/%s: Miss counts diverged", label, w.Spec.Name())
-		}
-		if !reflect.DeepEqual(w.HardDistances.Bins, g.HardDistances.Bins) {
-			t.Fatalf("%s/%s: hard distances diverged", label, w.Spec.Name())
-		}
-		if !reflect.DeepEqual(w.Classes, g.Classes) {
-			t.Fatalf("%s/%s: class maps diverged", label, w.Spec.Name())
-		}
-	}
-	if want.Exec != got.Exec || want.Miss != got.Miss {
-		t.Fatalf("%s: aggregate counts diverged", label)
-	}
-	if !reflect.DeepEqual(want.Distribution, got.Distribution) {
-		t.Fatalf("%s: distributions diverged", label)
-	}
-}
 
 // TestScheduledSingleInputManyWorkers pins the fan-out balance claim:
 // a one-input suite still uses every worker via sweep batches, and the
@@ -127,16 +22,18 @@ func TestScheduledSingleInputManyWorkers(t *testing.T) {
 	}
 }
 
-// TestScheduledBatchCountIrrelevant pins that the per-input sweep batch
-// count (BankWorkers) is invisible in scheduled results.
+// TestScheduledBatchCountIrrelevant pins that how the scheduled sweep
+// batches each slot's chunk axis — one chain, or several checkpointed
+// ranges each restored from a warmup snapshot — is invisible in
+// results.
 func TestScheduledBatchCountIrrelevant(t *testing.T) {
 	spec := testSpec(t, "ijpeg", "vigo.ppm")
 	specs := []workload.Spec{spec}
-	base := RunSuite(specs, Config{Scale: testScale, BankWorkers: 1})
-	for _, bw := range []int{2, 5, numBankSlots} {
-		got := RunSuite(specs, Config{Scale: testScale, BankWorkers: bw})
+	base := RunSuite(specs, Config{Scale: testScale, ChunkEvents: 256})
+	for _, ranges := range []int{2, 5, 1 << 30} {
+		got := RunSuite(specs, Config{Scale: testScale, ChunkEvents: 256, SnapshotRanges: ranges})
 		if got.Exec != base.Exec || got.Miss != base.Miss {
-			t.Fatalf("BankWorkers=%d changed scheduled results", bw)
+			t.Fatalf("SnapshotRanges=%d changed scheduled results", ranges)
 		}
 	}
 }

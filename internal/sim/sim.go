@@ -5,23 +5,22 @@
 //
 // Pass 1 runs a workload into a core.Profiler, yielding each static
 // branch's taken/transition profile and joint class, while a chunked
-// trace.ChunkRecorder captures the stream. Pass 2 replays the recorded
-// chunks — not the generator — into a bank of predictors, PAs(k) and
-// GAs(k) for every history length k, attributing each hit/miss to the
-// branch's joint class from pass 1. Classification uses the *complete*
-// run's rates, exactly as the paper's profiling does.
+// recorder captures the stream. Pass 2 replays the recorded chunks —
+// not the generator — into a bank of predictors, PAs(k) and GAs(k) for
+// every history length k, attributing each hit/miss to the branch's
+// joint class from pass 1. Classification uses the *complete* run's
+// rates, exactly as the paper's profiling does.
 //
-// Because every predictor is a pure function of the event stream
-// (bpred's contract), the bank sweep shards its (kind, k) slots across
-// goroutines, each replaying the recorded trace independently; the
-// result is bit-for-bit identical to driving the bank serially.
+// Both passes run as task grids on one work-stealing scheduler (see
+// RunSuiteGroup and sweepGrid). Every predictor is a pure function of
+// the event stream (bpred's contract), so the grid's scheduling order
+// cannot change results: they are bit-for-bit identical to driving the
+// bank serially.
 package sim
 
 import (
 	"fmt"
 	mathbits "math/bits"
-	"runtime"
-	"sync"
 
 	"btr/internal/bpred"
 	"btr/internal/core"
@@ -58,126 +57,81 @@ func (k Kind) String() string {
 // NumHistories is the number of history lengths swept (0..MaxHistory).
 const NumHistories = bpred.MaxHistory + 1
 
-// Config controls a run.
+// Config controls a run. Only Scale and HardDistanceWindow change
+// results; every other field shapes memory, scheduling or reuse and is
+// result-invisible (TestSuiteMatchesOracle).
 type Config struct {
 	// Scale multiplies every input's dynamic branch target; 1.0 is the
 	// registry default (the paper's Table 1 counts divided by 1000).
 	Scale float64
-	// Workers bounds concurrent inputs; 0 means GOMAXPROCS.
+	// Workers is the worker count of the scheduler a run builds for
+	// itself when Sched is nil; 0 means GOMAXPROCS.
 	Workers int
 	// HardDistanceWindow is the number of Figure 15 distance bins; the
 	// last bin is open ("8+"). 0 means 8.
 	HardDistanceWindow int
-	// BankWorkers bounds the goroutines sharding one input's PAs/GAs
-	// predictor-bank sweep over its recorded trace; 0 means GOMAXPROCS.
-	// It is capped at the number of bank slots (NumKinds*NumHistories).
-	BankWorkers int
 	// ChunkEvents sets the recorded trace's chunk granularity in events;
-	// 0 means trace.DefaultChunkEvents.
+	// 0 means trace.DefaultChunkEvents. Every sweep task advances one
+	// bank slot over one chunk, so this is also the task grain.
 	ChunkEvents int
-	// NoRecord disables the record-once/replay-many engine: every pass
-	// regenerates the workload and the bank runs serially, as the original
-	// pipeline did. It exists as the equivalence baseline and for
-	// memory-constrained runs; results are bit-for-bit identical.
-	NoRecord bool
-	// NoSched disables RunSuite's global work-stealing scheduler and
-	// falls back to the nested pools (a bounded pool of whole inputs,
-	// each sharding its bank across a private pool). It exists as the
-	// equivalence baseline; results are bit-for-bit identical. NoRecord
-	// implies NoSched, since the scheduler's sweep tasks replay the
-	// recorded trace.
-	NoSched bool
-	// ChunkTasks sets the chunk-axis granularity of the scheduled sweep:
-	// each (slot, chunk-range) task advances one predictor slot over this
-	// many recorded chunks before re-queueing its chain's continuation,
-	// so one input's sweep decomposes into numBankSlots chains of
-	// tens-of-microseconds tasks instead of BankWorkers whole-trace
-	// batches. 0 means DefaultChunkTasks. Negative restores the PR-2
-	// slot-only shape (whole-trace slot-batch tasks, one decode per
-	// batch), kept as the equivalence and benchmark baseline. The value
-	// is result-invisible: every granularity is bit-for-bit identical
-	// (TestChunkedMatrixMatchesLegacy).
-	ChunkTasks int
 	// Profiles, when non-nil, caches each input's classified pass-1
 	// result (profiles, classes, Exec, hard distances, attribution
 	// column — everything except Miss) keyed like Cache. A hit skips the
 	// profiling replay entirely, not just the generator run, so a second
-	// experiment context performs zero pass-1 work. Ignored under
-	// NoRecord.
+	// experiment context performs zero pass-1 work.
 	Profiles *ProfileCache
 	// Cache, when non-nil, is consulted before pass 1: a recording with
 	// a matching (name, scale, chunk) key replays into the profiler
 	// instead of running the generator, and fresh recordings are
-	// published for later runs and other experiment contexts. Ignored
-	// under NoRecord.
+	// published for later runs and other experiment contexts.
 	Cache *trace.Cache
 	// MemBudget, when > 0, streams pass 1 through a bounded window
 	// instead of retaining the whole recording: events are written to a
-	// BTR1 spill file as they are generated (the trace cache's spill
+	// BTR2 spill file as they are generated (the trace cache's spill
 	// directory when one is configured, otherwise an anonymous temp
 	// file) and at most about MemBudget bytes of leading chunk columns
-	// stay resident; replays page the remainder back in sequentially.
-	// Peak recording memory becomes O(MemBudget), not O(trace), and
-	// results are bit-for-bit identical (TestStreamedMatrixMatchesRetained).
-	// 0 keeps recordings fully resident, the default. Ignored under
-	// NoRecord.
+	// stay resident; replays page the remainder back in. Peak recording
+	// memory becomes O(MemBudget), not O(trace). 0 keeps recordings
+	// fully resident, the default.
 	MemBudget int64
-	// SnapshotRanges selects the checkpointed intra-slot sweep engine:
-	// every bank slot's chunk axis splits into this many ranges, a
-	// predict-free warmup chain per slot checkpoints the predictor's
-	// state at each range boundary (flat byte-slice snapshots, accounted
-	// in MemStats), and the ranges sweep concurrently from restored
-	// snapshots — numBankSlots × SnapshotRanges independent tasks, so a
-	// single input can saturate more than 34 cores. 0 or 1 keeps the
-	// chained engine, the default: the warmup replays all but the last
-	// range twice, so checkpointing only wins when cores outnumber
-	// slots. The value is result-invisible — every setting is
-	// bit-for-bit identical to the chained sweep
-	// (TestSnapshotMatrixMatchesChained). Honoured by the scheduled
-	// chunked engine only; NoSched, NoRecord and ChunkTasks < 0 ignore
-	// it.
+	// SnapshotRanges splits every bank slot's chunk axis into this many
+	// checkpointed ranges that sweep concurrently: a predict-free warmup
+	// chain per slot snapshots the predictor at each range boundary
+	// (flat byte slices, accounted in MemStats), so one input's sweep
+	// runs as numBankSlots × SnapshotRanges chains instead of 34. 0 or 1
+	// is the single-range sweep, the default: the warmup replays all but
+	// the last range twice, so checkpointing only wins when cores
+	// outnumber slots.
 	SnapshotRanges int
-	// MmapSpill, when true, maps spill-backed recordings into memory and
-	// decodes paged chunks straight from the mapping instead of issuing
-	// pread calls — replays of paper-scale spill files ride the page
-	// cache without per-chunk syscalls. Handles without spill backing
-	// (or platforms without mmap) silently keep the pread path. The
-	// value is result-invisible.
-	MmapSpill bool
 	// Sched, when non-nil, is a long-lived shared scheduler the suite
 	// run submits onto as one completion-tracked task group instead of
 	// building (and stopping) a private scheduler: concurrent RunSuite
 	// calls — brserve sessions — interleave their task grids over one
 	// worker pool, steal-balancing across requests. The scheduler is
 	// left running for the next caller, and Workers is ignored in
-	// favour of its worker count. Honoured by the scheduled engine
-	// only; NoSched and NoRecord fall back to private pools as before.
+	// favour of its worker count.
 	Sched *sched.Scheduler
-	// DecodedBudget bounds the decoded-chunk pool the scheduled sweep
-	// checks chunks out of: 0 retains every decoded column for the
-	// duration of the input's sweep (the pre-streaming behaviour), > 0
-	// is a byte budget — checked-out chunks are pinned, LRU columns
-	// beyond the budget are dropped and re-decoded on the next visit —
-	// and < 0 caches nothing beyond the chunks currently checked out.
-	// Like MemBudget, the value is result-invisible.
+	// DecodedBudget bounds the decoded-chunk pool the sweep checks
+	// chunks out of: 0 retains every decoded column for the duration of
+	// the input's sweep, > 0 is a byte budget — checked-out chunks are
+	// pinned, LRU columns beyond the budget are dropped and re-decoded
+	// on the next visit — and < 0 caches nothing beyond the chunks
+	// currently checked out.
 	DecodedBudget int64
-	// ReadAhead, when > 0, overlaps spill I/O and BTR1 decode with
-	// predictor compute: every sweep chain (chained, checkpointed, and
-	// the attribution pre-pass) hints its next ReadAhead chunks to the
-	// decoded pool's background prefetcher, which decodes them —
-	// coalescing adjacent spill reads into one ReadAt — before the
-	// chain's cursor arrives. Prefetched columns are charged against
-	// DecodedBudget and evicted LRU like any other, so peak decoded
-	// memory stays O(budget). The value is result-invisible
-	// (TestStreamedMatrixMatchesRetained); honoured by the scheduled
-	// chunked engines only — NoSched, NoRecord, ChunkTasks < 0 and
-	// cache-nothing pools (DecodedBudget < 0) ignore it.
+	// ReadAhead, when > 0, overlaps spill I/O and BTR2 decode with
+	// predictor compute: every chain (sweep, warmup, and the attribution
+	// pre-pass) hints its next ReadAhead chunks to the decoded pool's
+	// background prefetcher, which decodes them — coalescing adjacent
+	// spill reads into one ReadAt — before the chain's cursor arrives.
+	// Prefetched columns are charged against DecodedBudget and evicted
+	// LRU like any other, so peak decoded memory stays O(budget).
+	// Cache-nothing pools (DecodedBudget < 0) ignore it.
 	ReadAhead int
 }
 
 // newDecodedPool builds a sweep's decoded-chunk pool over h, attaching
 // the background prefetcher when ReadAhead asks for one. Pools built
-// here are shut down by finalizeMem on publish, or by the owning grid's
+// here are shut down by the sweep's publish, or by the owning grid's
 // poison path on failure.
 func (c Config) newDecodedPool(h *trace.Handle) *trace.DecodedPool {
 	p := trace.NewDecodedPool(h, c.DecodedBudget)
@@ -207,42 +161,6 @@ func (c Config) window() int {
 		return 8
 	}
 	return c.HardDistanceWindow
-}
-
-// DefaultChunkTasks is the chunk-range width of one scheduled sweep
-// task: one recorded chunk (DefaultChunkEvents events) per slot per task
-// lands in the tens-of-microseconds range — coarse enough that the
-// lock-free deque overhead is noise, fine enough that work stealing can
-// level the tail of a single huge input across every core.
-const DefaultChunkTasks = 1
-
-func (c Config) chunkTasks() int {
-	if c.ChunkTasks == 0 {
-		return DefaultChunkTasks
-	}
-	return c.ChunkTasks
-}
-
-// snapshotRanges resolves Config.SnapshotRanges against a recording's
-// chunk count: the checkpointed engine only engages when more than one
-// non-empty range is possible.
-func (c Config) snapshotRanges(nchunks int) int {
-	r := c.SnapshotRanges
-	if r > nchunks {
-		r = nchunks
-	}
-	return r
-}
-
-func (c Config) bankWorkers() int {
-	n := c.BankWorkers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if max := int(NumKinds) * NumHistories; n > max {
-		n = max
-	}
-	return n
 }
 
 // JointCounts is an 11x11 matrix of per-joint-class event counts.
@@ -316,11 +234,11 @@ type InputResult struct {
 	// a handle that may be memory-resident, spill-backed (under
 	// Config.MemBudget), or both; downstream analyses (ablations,
 	// confidence studies) replay it instead of re-running the
-	// generator. Nil when Config.NoRecord.
+	// generator.
 	Recorded *trace.Handle
 
 	// Mem reports the input's memory-shape counters (recording
-	// footprint, page-ins, decoded-pool traffic). Zero under NoRecord.
+	// footprint, page-ins, decoded-pool traffic, snapshots).
 	Mem MemStats
 }
 
@@ -338,8 +256,7 @@ type MemStats struct {
 	PageIns int64
 	// DecodedHits / DecodedRedecodes / DecodedEvicted / DecodedPeak are
 	// the sweep's decoded-chunk pool counters (see
-	// trace.DecodedPoolStats); zero when the sweep ran without a pool
-	// (slot-only and pool engines).
+	// trace.DecodedPoolStats).
 	DecodedHits      int64
 	DecodedRedecodes int64
 	DecodedEvicted   int64
@@ -356,7 +273,7 @@ type MemStats struct {
 	// checkpointed sweep's predictor snapshots (Config.SnapshotRanges):
 	// how many were taken, their cumulative size, and the high-water
 	// mark of snapshot bytes live at once (each snapshot dies when its
-	// range restores it). Zero under the chained engine.
+	// range restores it). Zero with a single range per slot.
 	SnapshotCount int64
 	SnapshotBytes int64
 	SnapshotPeak  int64
@@ -395,68 +312,15 @@ func ProfileInput(spec workload.Spec, scale float64) (*core.Profiler, core.Class
 	return profiler, core.Classify(profiler.Profiles())
 }
 
-// RunInput runs the full two-pass pipeline for one input.
-//
-// The default engine records the stream once during the profiling pass
-// and drives pass 2 by replaying the recorded chunks, sharding the
-// predictor bank across cfg.BankWorkers goroutines. Set cfg.NoRecord to
-// regenerate the workload per pass with a serial bank instead; both paths
-// produce identical results.
+// RunInput runs the full two-pass pipeline for one input: a one-spec
+// RunSuite. A workload that fails (a panicking generator) panics here
+// with its InputError, since there is no suite to drop it from.
 func RunInput(spec workload.Spec, cfg Config) *InputResult {
-	if cfg.NoRecord {
-		return runInputRegenerate(spec, cfg)
+	suite := RunSuite([]workload.Spec{spec}, cfg)
+	if len(suite.Dropped) > 0 {
+		panic(suite.Dropped[0])
 	}
-	res, classIdx := profileStage(spec, cfg)
-
-	// Pass 2: shard the (kind, k) bank slots round-robin across workers.
-	// Each worker replays the trace chunk-major — one decode per chunk,
-	// shared by all of its slots — so decode cost scales with workers, not
-	// with the 34 bank slots, and a single-core run decodes the trace
-	// exactly once. Each slot's miss counts are a pure function of the
-	// recorded stream and land in a distinct cell of res.Miss, so no
-	// synchronisation beyond the WaitGroup is needed and the sharding
-	// cannot change results.
-	misses := make([]missCell, numBankSlots)
-	groups := bankGroups(cfg.bankWorkers(), misses)
-	var wg sync.WaitGroup
-	for _, group := range groups {
-		wg.Add(1)
-		go func(group []bankSlot) {
-			defer wg.Done()
-			sweepSlots(group, res.Recorded, classIdx)
-		}(group)
-	}
-	wg.Wait()
-	foldMisses(res, misses)
-	finalizeMem(res, nil)
-	return res
-}
-
-// finalizeMem snapshots the input's memory-shape counters off its
-// recording handle and (when the sweep used one) decoded pool. It also
-// shuts the pool's prefetcher down — the sweep is over — so every
-// prefetch install is accounted before the stats are read.
-func finalizeMem(res *InputResult, pool *trace.DecodedPool) {
-	h := res.Recorded
-	if h == nil {
-		return
-	}
-	if pool != nil {
-		pool.ClosePrefetch()
-	}
-	res.Mem.RecordedBytes = h.EncodedBytes()
-	res.Mem.ResidentPeak = h.ResidentPeak()
-	res.Mem.PageIns = h.PageIns()
-	if pool != nil {
-		s := pool.Stats()
-		res.Mem.DecodedHits = s.Hits
-		res.Mem.DecodedRedecodes = s.Redecodes
-		res.Mem.DecodedEvicted = s.Evicted
-		res.Mem.DecodedPeak = s.HighWater
-		res.Mem.PrefetchHits = s.PrefetchHits
-		res.Mem.PrefetchWasted = s.PrefetchWasted
-		res.Mem.PrefetchInFlightPeak = s.InFlightPeak
-	}
+	return suite.Inputs[0]
 }
 
 // profileRecorded runs pass 1 — profile and record in one generator run
@@ -469,14 +333,12 @@ func profileRecorded(spec workload.Spec, cfg Config) (*core.Profiler, *trace.Han
 	profiler := core.NewProfiler()
 	if cfg.Cache != nil {
 		if h, ok := cfg.Cache.GetHandle(cfg.cacheKey(spec)); ok {
-			cfg.mmapHandle(h)
 			h.Replay(profiler)
 			return profiler, h
 		}
 	}
 	if cfg.MemBudget > 0 {
 		if h, ok := streamRecord(spec, cfg, profiler); ok {
-			cfg.mmapHandle(h)
 			return profiler, h
 		}
 		// The spill file could not be created or sealed: fall back to the
@@ -497,7 +359,7 @@ func profileRecorded(spec workload.Spec, cfg Config) (*core.Profiler, *trace.Han
 }
 
 // streamRecord is the bounded-window pass 1: the generator's stream is
-// teed into the profiler and a StreamRecorder writing BTR1 directly —
+// teed into the profiler and a StreamRecorder writing BTR2 directly —
 // to the cache's spill path when one exists (so later processes probe
 // straight into it), else an anonymous temp file. ok is false when the
 // spill backing could not be set up; the caller falls back to
@@ -535,8 +397,7 @@ const hardIdx = 5*core.NumClasses + 5
 
 // passOne profiles, records and classifies one input: the result shell
 // with Exec, distances and the attribution column still empty — those
-// belong to the attribution pass (attributeSequential, or the
-// scheduler's parallel attribution grid).
+// belong to the attribution grid (attribGrid).
 func passOne(spec workload.Spec, cfg Config) *InputResult {
 	profiler, recorded := profileRecorded(spec, cfg)
 	return &InputResult{
@@ -550,73 +411,16 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 	}
 }
 
-// attributeSequential is the attribution pre-pass: one replay resolves
-// each event's joint class, filling Exec and the Figure 15 distances
-// and the per-event class column so the bank workers index an array
-// instead of hitting the class map once per slot per event. Workload
-// PCs are base + site<<2 with dense site IDs, so when the PC range is
-// compact the class map itself collapses into a direct-indexed table.
-// classIdx must hold res.Recorded.Events() entries.
-func attributeSequential(res *InputResult, classIdx []uint8) {
-	lookup := denseClasses(res.Classes)
-	var pos, lastHard int64
-	sawHard := false
-	rep := res.Recorded.ChunkReader()
-	for {
-		pcs, dirs, n, ok := rep.NextChunk()
-		if !ok {
-			break
-		}
-		_ = dirs
-		for i := 0; i < n; i++ {
-			ci := lookup.classOf(pcs[i], res.Classes)
-			res.Exec[ci/core.NumClasses][ci%core.NumClasses]++
-			classIdx[pos] = ci
-			pos++
-			if ci == hardIdx {
-				if sawHard {
-					res.HardDistances.Add(int(pos - lastHard))
-				}
-				sawHard = true
-				lastHard = pos
-			}
-		}
-	}
-}
-
-// profileStage is the non-scheduled first half of RunInput: pass 1
-// plus the sequential attribution pre-pass (the scheduler's
-// profileTask parallelises attribution along the chunk axis instead).
-// It returns the result shell (Exec, classes, distances and the
-// recording handle filled in; Miss still zero) and the per-event class
-// column the bank sweep attributes against.
-//
-// cfg.Profiles is consulted first: on a hit the cached shell is copied
-// (Miss starts zero in the template, so the copy is sweep-ready), the
-// recording it was derived from comes back from cfg.Cache — the
-// recording's lifetime stays under the trace cache's LRU budget, not
-// pinned by profile entries — and no generator, profiler or attribution
-// work runs at all. If the recording was evicted without a spill path
-// the hit is unusable (the sweep needs the stream) and the stage falls
-// through to a full recompute.
-func profileStage(spec workload.Spec, cfg Config) (*InputResult, []uint8) {
-	if res, classIdx, ok := profileCached(spec, cfg); ok {
-		return res, classIdx
-	}
-	res := passOne(spec, cfg)
-	classIdx := make([]uint8, res.Recorded.Events())
-	attributeSequential(res, classIdx)
-	if cfg.Profiles != nil && !cfg.NoRecord {
-		cfg.Profiles.put(cfg.cacheKey(spec), cfg.window(), res, classIdx)
-	}
-	return res, classIdx
-}
-
-// profileCached serves the profile-cache fast path shared by both
-// engines: a cached pass-1 shell plus the recording handle re-fetched
-// from the trace cache.
+// profileCached serves the profile-cache fast path: on a hit the cached
+// shell is copied (Miss starts zero in the template, so the copy is
+// sweep-ready), the recording it was derived from comes back from
+// cfg.Cache — the recording's lifetime stays under the trace cache's
+// LRU budget, not pinned by profile entries — and no generator,
+// profiler or attribution work runs at all. If the recording was
+// evicted without a spill path the hit is unusable (the sweep needs the
+// stream) and the caller falls through to a full recompute.
 func profileCached(spec workload.Spec, cfg Config) (*InputResult, []uint8, bool) {
-	if cfg.Profiles == nil || cfg.Cache == nil || cfg.NoRecord {
+	if cfg.Profiles == nil || cfg.Cache == nil {
 		return nil, nil, false
 	}
 	res, classIdx, ok := cfg.Profiles.get(cfg.cacheKey(spec), cfg.window())
@@ -627,19 +431,8 @@ func profileCached(spec workload.Spec, cfg Config) (*InputResult, []uint8, bool)
 	if !ok {
 		return nil, nil, false
 	}
-	cfg.mmapHandle(h)
 	res.Recorded = h
 	return res, classIdx, true
-}
-
-// mmapHandle applies Config.MmapSpill to a freshly acquired recording
-// handle. Failure (no spill backing, unsupported platform, map error)
-// silently keeps the pread path: the knob is a paging-strategy hint,
-// never a correctness requirement.
-func (c Config) mmapHandle(h *trace.Handle) {
-	if c.MmapSpill && h.Spilled() {
-		_ = h.EnableMmap()
-	}
 }
 
 // missCell is one bank slot's flat class-attributed miss counters.
@@ -657,9 +450,8 @@ func addCell(dst, src *missCell) {
 const numBankSlots = int(NumKinds) * NumHistories
 
 // bankSlotPredictor builds the predictor for flat bank slot i — the one
-// place the slot-index ↔ (kind, k) mapping is realised, shared by the
-// batch engine (bankGroups) and the chunk-chain engine (newChunkSweep).
-func bankSlotPredictor(i int) chunkSweeper {
+// place the slot-index ↔ (kind, k) mapping is realised.
+func bankSlotPredictor(i int) slotPredictor {
 	kind, k := Kind(i/NumHistories), i%NumHistories
 	switch kind {
 	case KindPAs:
@@ -669,23 +461,6 @@ func bankSlotPredictor(i int) chunkSweeper {
 	default:
 		panic(fmt.Sprintf("sim: bank slot %d has no predictor kind", i))
 	}
-}
-
-// bankGroups builds the predictor bank — PAs(k) and GAs(k) for every
-// history length — and splits its slots round-robin into at most
-// `groups` batches. Each batch shares one chunk decode per replayed
-// chunk (see sweepSlots), so decode cost scales with the batch count,
-// not the 34 slots, and a single batch decodes the trace exactly once.
-// misses must hold numBankSlots cells; slot i writes only cell i.
-func bankGroups(groups int, misses []missCell) [][]bankSlot {
-	if groups > numBankSlots {
-		groups = numBankSlots
-	}
-	out := make([][]bankSlot, groups)
-	for i := 0; i < numBankSlots; i++ {
-		out[i%groups] = append(out[i%groups], bankSlot{p: bankSlotPredictor(i), miss: &misses[i]})
-	}
-	return out
 }
 
 // foldMisses copies the flat per-slot counters into res.Miss.
@@ -761,43 +536,9 @@ type chunkSweeper interface {
 	SweepChunk(pcs, dirs []uint64, n int, wrong []uint64)
 }
 
-// bankSlot is one predictor configuration of the bank plus its flat
-// class-attributed miss counters.
-type bankSlot struct {
-	p    chunkSweeper
-	miss *[core.NumClasses * core.NumClasses]int64
-}
-
-// sweepSlots replays the recorded trace through a group of bank slots,
-// chunk-major: each chunk is decoded (or paged in) once, every slot's
-// predictor batch-processes the decoded columns via sweepDecodedChunk,
-// attributing set bits to the per-event joint classes in classIdx.
-func sweepSlots(slots []bankSlot, recorded *trace.Handle, classIdx []uint8) {
-	rep := recorded.ChunkReader()
-	var wrong []uint64
-	var base int64
-	for {
-		pcs, dirs, n, ok := rep.NextChunk()
-		if !ok {
-			return
-		}
-		if words := (n + 63) / 64; len(wrong) < words {
-			wrong = make([]uint64, words)
-		}
-		d := trace.DecodedChunk{PCs: pcs, Dirs: dirs, N: n, Base: base}
-		cls := classIdx[base : base+int64(n)]
-		for _, s := range slots {
-			sweepDecodedChunk(s.p, &d, cls, s.miss, wrong)
-		}
-		base += int64(n)
-	}
-}
-
 // sweepDecodedChunk advances one bank slot over one decoded chunk,
-// attributing mispredictions into cell — the shared inner loop of both
-// sweep shapes (per-batch-decoded sweepSlots and the chunk-range tasks'
-// pre-decoded columns). wrong is the caller's scratch bitmap, at least
-// (n+63)/64 words.
+// attributing mispredictions into cell — the sweep grid's inner loop.
+// wrong is the caller's scratch bitmap, at least (n+63)/64 words.
 //
 // The popcount pre-scan totals the chunk's mispredictions first: an
 // all-correct chunk — the common case for easy classes at high k —
@@ -827,57 +568,4 @@ func sweepDecodedChunk(p chunkSweeper, d *trace.DecodedChunk, cls []uint8, cell 
 			cell[cls[w*64+mathbits.TrailingZeros64(bits)]]++
 		}
 	}
-}
-
-// runInputRegenerate is the original regenerate-twice pipeline: pass 2
-// re-runs the workload generator and drives the whole predictor bank
-// serially from one sink. RunInput's replay engine must match it
-// bit-for-bit (see TestReplayMatchesRegenerate).
-func runInputRegenerate(spec workload.Spec, cfg Config) *InputResult {
-	profiler, classes := ProfileInput(spec, cfg.Scale)
-
-	res := &InputResult{
-		Spec:          spec,
-		Events:        profiler.Events(),
-		Sites:         profiler.Sites(),
-		Profiles:      profiler.Profiles(),
-		Classes:       classes,
-		HardDistances: stats.NewHistogram(cfg.window() + 1),
-	}
-
-	// Build the predictor bank: PAs(k) and GAs(k), k = 0..MaxHistory.
-	var pas [NumHistories]*bpred.PAs
-	var gas [NumHistories]*bpred.GAs
-	for k := 0; k < NumHistories; k++ {
-		pas[k] = bpred.NewPAs(k)
-		gas[k] = bpred.NewGAs(k)
-	}
-
-	var pos, lastHard int64
-	sawHard := false
-	sink := trace.SinkFunc(func(pc uint64, taken bool) {
-		jc := classes[pc]
-		t, tr := jc.Taken, jc.Transition
-		res.Exec[t][tr]++
-		for k := 0; k < NumHistories; k++ {
-			if pas[k].Predict(pc) != taken {
-				res.Miss[KindPAs][k][t][tr]++
-			}
-			pas[k].Update(pc, taken)
-			if gas[k].Predict(pc) != taken {
-				res.Miss[KindGAs][k][t][tr]++
-			}
-			gas[k].Update(pc, taken)
-		}
-		pos++
-		if jc.Hard() {
-			if sawHard {
-				res.HardDistances.Add(int(pos - lastHard))
-			}
-			sawHard = true
-			lastHard = pos
-		}
-	})
-	spec.Run(sink, cfg.Scale)
-	return res
 }

@@ -8,37 +8,8 @@ import (
 	"sync/atomic"
 
 	"btr/internal/bpred"
-	"btr/internal/sched"
 	"btr/internal/trace"
 )
-
-// The checkpointed intra-slot engine. The chunk-chain sweep caps one
-// input's parallelism at numBankSlots (34) because predictor state
-// rides each chain sequentially. Here the chunk axis of every slot is
-// split into SnapshotRanges ranges, and the state handoff is broken by
-// checkpointing: a predict-free warmup chain per slot replays the trace
-// through UpdateChunk — Predict has no side effects, so the state it
-// leaves is bit-identical to a predicting sweep's — and snapshots the
-// predictor at every range boundary. Each (slot, range) then becomes an
-// independent task that restores its boundary snapshot, sweeps its
-// range into a private partial missCell, and the partials fold in
-// (slot, range) order exactly as the chained engine folds its chains —
-// bit-for-bit identical results (TestSnapshotMatrixMatchesChained), but
-// numBankSlots × SnapshotRanges tasks of fan-out instead of 34.
-//
-// The warmup is overhead (all but the last range is replayed twice:
-// once updating, once predicting), so the engine wins only when cores
-// outnumber slots; it is off by default.
-
-// snapshotSweeper is what the checkpointed engine needs from a bank
-// slot's predictor: the batch sweep protocol, the predict-free batch
-// update for warmup chains, and bpred's checkpoint protocol. PAs and
-// GAs satisfy it.
-type snapshotSweeper interface {
-	chunkSweeper
-	UpdateChunk(pcs, dirs []uint64, n int)
-	bpred.Snapshotter
-}
 
 // snapshotBounds splits nchunks into at most ranges contiguous ranges
 // of near-equal size: range r covers chunks [bounds[r], bounds[r+1]).
@@ -55,244 +26,6 @@ func snapshotBounds(nchunks, ranges int) []int {
 		b[r] = r * nchunks / ranges
 	}
 	return b
-}
-
-// snapshotSweep is one input's in-flight (slot × range) checkpointed
-// sweep. pending counts sweep tasks only (numBankSlots × ranges, preset
-// before any submission); warmup tasks gate sweep submission, so a
-// poisoned warmup leaves pending above zero and the input unpublished —
-// the same drop-via-Dropped semantics as the chained engine.
-type snapshotSweep struct {
-	res      *InputResult
-	classIdx []uint8
-	pool     *trace.DecodedPool
-	nchunks  int
-	ra       int // read-ahead depth (Config.ReadAhead); 0 = no hints
-	bounds   []int
-	slots    []snapSlot
-	pending  atomic.Int32
-	failed   atomic.Bool
-
-	// Snapshot accounting: count/total are cumulative, live tracks
-	// outstanding snapshot bytes (each is freed when its range restores
-	// it), peak is live's high-water mark.
-	snapCount atomic.Int64
-	snapTotal atomic.Int64
-	snapLive  atomic.Int64
-	snapPeak  atomic.Int64
-
-	out    **InputResult
-	errOut *error
-}
-
-// snapSlot is one bank slot's share of the grid. warm is only touched
-// by the slot's warmup chain (tasks ordered by resubmission); snaps[r]
-// is written by the warmup before the range-r sweep is submitted and
-// consumed (restored, then dropped) by that sweep; partials[r] is
-// written only by the range-r sweep.
-type snapSlot struct {
-	warm     snapshotSweeper
-	snaps    [][]byte
-	partials []missCell
-}
-
-func startSnapshotSweep(w *sched.Worker, cfg Config, ranges int, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) {
-	ss := &snapshotSweep{
-		res:      res,
-		classIdx: classIdx,
-		pool:     pool,
-		nchunks:  res.Recorded.Chunks(),
-		ra:       cfg.ReadAhead,
-		bounds:   snapshotBounds(res.Recorded.Chunks(), ranges),
-		out:      out,
-		errOut:   errOut,
-	}
-	ranges = len(ss.bounds) - 1
-	ss.slots = make([]snapSlot, numBankSlots)
-	for i := range ss.slots {
-		ss.slots[i] = snapSlot{
-			warm:     bankSlotPredictor(i).(snapshotSweeper),
-			snaps:    make([][]byte, ranges),
-			partials: make([]missCell, ranges),
-		}
-	}
-	ss.pending.Store(int32(numBankSlots * ranges))
-	// Range 0 needs no snapshot — a fresh predictor IS the initial state
-	// — so its sweeps launch immediately alongside the warmup chains that
-	// unlock ranges 1..ranges-1. Sweeps are submitted first: the
-	// submitting worker pops its last warmup LIFO and rides warmup chains
-	// (they are the critical path), while thieves peel the range-0 sweeps
-	// FIFO.
-	for i := range ss.slots {
-		i := i
-		w.Submit(func(w *sched.Worker) { ss.sweepRange(w, i, 0) })
-	}
-	if ranges > 1 {
-		for i := range ss.slots {
-			i := i
-			w.Submit(func(w *sched.Worker) { ss.warmup(w, i, 0) })
-		}
-	}
-}
-
-// guard converts a task panic (a spill paging failure) into the grid's
-// poison: the cause is recorded once, sibling tasks bail out on their
-// next look at failed, pending never reaches zero, and the input is
-// reported via SuiteResult.Dropped.
-func (ss *snapshotSweep) guard() {
-	if r := recover(); r != nil {
-		ss.poison(recoveredErr("snapshot sweep failed", r))
-	}
-}
-
-// poison records the grid's first failure cause and stops the prefetch
-// workers (the grid never publishes, so finalizeMem never runs).
-func (ss *snapshotSweep) poison(err error) {
-	if ss.failed.CompareAndSwap(false, true) {
-		*ss.errOut = err
-		ss.pool.CancelPrefetch()
-		ss.pool.ClosePrefetch()
-	}
-}
-
-// bail reports whether the task should unwind without doing work:
-// the grid is already poisoned, or its group has been canceled (which
-// poisons it with ErrCanceled).
-func (ss *snapshotSweep) bail(w *sched.Worker) bool {
-	if ss.failed.Load() {
-		return true
-	}
-	if w.Canceled() {
-		ss.poison(ErrCanceled)
-		return true
-	}
-	return false
-}
-
-// prefetchWindow hints the chunks (k, min(k+1+ra, end)) that have not
-// been hinted yet, advancing *pf. Each chain keeps a private cursor, so
-// every chunk is hinted at most once per chain.
-func (ss *snapshotSweep) prefetchWindow(pf *int, k, end int) {
-	if ss.ra <= 0 {
-		return
-	}
-	hi := k + 1 + ss.ra
-	if hi > end {
-		hi = end
-	}
-	if *pf <= k {
-		*pf = k + 1
-	}
-	for ; *pf < hi; *pf++ {
-		ss.pool.Prefetch(*pf)
-	}
-}
-
-// warmup advances slot's warmup predictor over range r update-only,
-// checkpoints the state — which is exactly the chained sweep's state at
-// the start of range r+1 — and releases that range's sweep to run.
-// The chain covers ranges 0..ranges-2: the final range's end state is
-// never needed.
-func (ss *snapshotSweep) warmup(w *sched.Worker, slot, r int) {
-	defer ss.guard()
-	if ss.bail(w) {
-		return
-	}
-	s := &ss.slots[slot]
-	pf := ss.bounds[r] + 1
-	for k := ss.bounds[r]; k < ss.bounds[r+1]; k++ {
-		ss.prefetchWindow(&pf, k, ss.bounds[r+1])
-		d := ss.pool.Checkout(k)
-		s.warm.UpdateChunk(d.PCs, d.Dirs, d.N)
-		ss.pool.Release(k)
-	}
-	snap := make([]byte, s.warm.SnapshotBytes())
-	s.warm.SnapshotTo(snap)
-	ss.accountSnapshot(int64(len(snap)))
-	next := r + 1
-	s.snaps[next] = snap
-	w.Submit(func(w *sched.Worker) { ss.sweepRange(w, slot, next) })
-	if next < len(ss.bounds)-2 {
-		w.Submit(func(w *sched.Worker) { ss.warmup(w, slot, next) })
-	}
-}
-
-func (ss *snapshotSweep) accountSnapshot(n int64) {
-	ss.snapCount.Add(1)
-	ss.snapTotal.Add(n)
-	live := ss.snapLive.Add(n)
-	for {
-		peak := ss.snapPeak.Load()
-		if live <= peak || ss.snapPeak.CompareAndSwap(peak, live) {
-			return
-		}
-	}
-}
-
-// sweepRange runs one (slot, range) task: restore the range's boundary
-// snapshot into a fresh predictor (range 0 uses the fresh predictor
-// as-is), sweep the range's chunks into the range's private partial,
-// and — as the last task of the whole grid — fold and publish.
-func (ss *snapshotSweep) sweepRange(w *sched.Worker, slot, r int) {
-	defer ss.guard()
-	if ss.bail(w) {
-		return
-	}
-	s := &ss.slots[slot]
-	p := bankSlotPredictor(slot).(snapshotSweeper)
-	if r > 0 {
-		snap := s.snaps[r]
-		p.RestoreFrom(snap)
-		s.snaps[r] = nil // the snapshot is dead once restored
-		ss.snapLive.Add(-int64(len(snap)))
-	}
-	var cell missCell
-	var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
-	scratch := wrong[:]
-	pf := ss.bounds[r] + 1
-	for k := ss.bounds[r]; k < ss.bounds[r+1]; k++ {
-		ss.prefetchWindow(&pf, k, ss.bounds[r+1])
-		d := ss.pool.Checkout(k)
-		if words := (d.N + 63) / 64; words > len(scratch) {
-			scratch = make([]uint64, words)
-		}
-		sweepDecodedChunk(p, d, ss.classIdx[d.Base:d.Base+int64(d.N)], &cell, scratch)
-		ss.pool.Release(k)
-	}
-	s.partials[r] = cell
-	if ss.pending.Add(-1) == 0 {
-		ss.fold()
-		finalizeMem(ss.res, ss.pool)
-		ss.res.Mem.SnapshotCount = ss.snapCount.Load()
-		ss.res.Mem.SnapshotBytes = ss.snapTotal.Load()
-		ss.res.Mem.SnapshotPeak = ss.snapPeak.Load()
-		*ss.out = ss.res
-	}
-}
-
-// fold reduces the per-range partials into flat per-slot cells in
-// deterministic (slot, range) order — int64 sums, so any order would be
-// bit-identical anyway — and lands them in res.Miss.
-func (ss *snapshotSweep) fold() {
-	flat := make([]missCell, numBankSlots)
-	for i := range ss.slots {
-		for r := range ss.slots[i].partials {
-			addCell(&flat[i], &ss.slots[i].partials[r])
-		}
-	}
-	foldMisses(ss.res, flat)
-}
-
-// startSweep launches an input's bank sweep on the engine Config
-// selects: the checkpointed (slot × range) grid when SnapshotRanges
-// asks for more than one range and the recording has chunks to split,
-// otherwise the chained (slot × chunk-range) grid.
-func startSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) {
-	if ranges := cfg.snapshotRanges(res.Recorded.Chunks()); ranges > 1 {
-		startSnapshotSweep(w, cfg, ranges, res, classIdx, pool, out, errOut)
-		return
-	}
-	startChunkSweep(w, cfg, res, classIdx, pool, out, errOut)
 }
 
 // SnapshotPredictor is the contract RunPredictorSnapshot needs from a
@@ -323,15 +56,21 @@ type SnapshotRunStats struct {
 // snapshot at every boundary, and workers (0 = GOMAXPROCS) replay the
 // ranges concurrently from their snapshots, folding per-range miss
 // counts in range order. The result is bit-identical to bpred.Run over
-// the same handle. Paging errors panic, as they do in Handle replays.
-func RunPredictorSnapshot(h *trace.Handle, mk func() SnapshotPredictor, ranges, workers int) (bpred.Result, SnapshotRunStats) {
+// the same handle. A chunk that fails to page in — from the warmup or
+// any range worker — ends the run with that error, wrapped so
+// errors.Is(err, trace.ErrCorruptSpill) still classifies a damaged
+// spill file.
+func RunPredictorSnapshot(h *trace.Handle, mk func() SnapshotPredictor, ranges, workers int) (bpred.Result, SnapshotRunStats, error) {
 	bounds := snapshotBounds(h.Chunks(), ranges)
 	nr := len(bounds) - 1
 	warm := mk()
 	res := bpred.Result{Name: warm.Name(), Events: h.Events()}
 	stats := SnapshotRunStats{Ranges: nr}
 	if h.Chunks() == 0 {
-		return res, stats
+		return res, stats, nil
+	}
+	pageErr := func(k int, err error) error {
+		return fmt.Errorf("trace: paging chunk %d: %w", k, err)
 	}
 	// Sequential warmup: snapshot the initial state too, so every range
 	// — including range 0, whichever worker claims it — restores rather
@@ -350,7 +89,7 @@ func RunPredictorSnapshot(h *trace.Handle, mk func() SnapshotPredictor, ranges, 
 		for k := bounds[r]; k < bounds[r+1]; k++ {
 			d, err := h.DecodeChunkInto(k, pcs, dirs)
 			if err != nil {
-				panic(fmt.Sprintf("trace: paging chunk %d: %v", k, err))
+				return res, stats, pageErr(k, err)
 			}
 			pcs, dirs = d.PCs, d.Dirs
 			warm.UpdateChunk(d.PCs, d.Dirs, d.N)
@@ -365,7 +104,9 @@ func RunPredictorSnapshot(h *trace.Handle, mk func() SnapshotPredictor, ranges, 
 		workers = nr
 	}
 	missByRange := make([]int64, nr)
+	errByRange := make([]error, nr)
 	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -373,7 +114,7 @@ func RunPredictorSnapshot(h *trace.Handle, mk func() SnapshotPredictor, ranges, 
 			defer wg.Done()
 			p := mk()
 			var pcs, dirs, wrong []uint64
-			for {
+			for !failed.Load() {
 				r := int(next.Add(1)) - 1
 				if r >= nr {
 					return
@@ -383,16 +124,16 @@ func RunPredictorSnapshot(h *trace.Handle, mk func() SnapshotPredictor, ranges, 
 				for k := bounds[r]; k < bounds[r+1]; k++ {
 					d, err := h.DecodeChunkInto(k, pcs, dirs)
 					if err != nil {
-						panic(fmt.Sprintf("trace: paging chunk %d: %v", k, err))
+						errByRange[r] = pageErr(k, err)
+						failed.Store(true)
+						return
 					}
 					pcs, dirs = d.PCs, d.Dirs
 					words := (d.N + 63) / 64
 					if len(wrong) < words {
 						wrong = make([]uint64, words)
 					}
-					for w := range wrong[:words] {
-						wrong[w] = 0
-					}
+					clear(wrong[:words])
 					p.SweepChunk(d.PCs, d.Dirs, d.N, wrong[:words])
 					for _, bits := range wrong[:words] {
 						miss += int64(mathbits.OnesCount64(bits))
@@ -403,8 +144,11 @@ func RunPredictorSnapshot(h *trace.Handle, mk func() SnapshotPredictor, ranges, 
 		}()
 	}
 	wg.Wait()
-	for _, m := range missByRange {
+	for r, m := range missByRange {
+		if err := errByRange[r]; err != nil {
+			return res, stats, err
+		}
 		res.Misses += m
 	}
-	return res, stats
+	return res, stats, nil
 }

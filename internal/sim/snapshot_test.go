@@ -1,72 +1,19 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
+	"path/filepath"
 	"testing"
 
 	"btr/internal/bpred"
+	"btr/internal/trace"
 	"btr/internal/workload"
 )
 
-// TestSnapshotMatrixMatchesChained is the golden equivalence matrix for
-// the checkpointed intra-slot engine: {chained, snapshot ranges
-// {2, 5, all-chunks}} × workers {1, 4, GOMAXPROCS} × {retained,
-// spill+pool} must all produce bit-identical SuiteResults. A small
-// ChunkEvents forces many chunks at test scale so every requested range
-// count genuinely splits the chunk axis; the snapshot counters are
-// asserted so the checkpointed legs provably checkpointed rather than
-// trivially passing through the chained path.
-func TestSnapshotMatrixMatchesChained(t *testing.T) {
-	specs := []workload.Spec{
-		testSpec(t, "compress", "bigtest.in"),
-		testSpec(t, "gcc", "genoutput.i"),
-		testSpec(t, "li", "ref.lsp"),
-	}
-	base := Config{Scale: testScale, ChunkEvents: 256}
-	chained := RunSuite(specs, base)
-	if m := chained.Mem; m.SnapshotCount != 0 || m.SnapshotBytes != 0 {
-		t.Fatalf("chained run took snapshots: %+v", m)
-	}
-
-	budgets := []struct {
-		name    string
-		mem     int64
-		decoded int64
-	}{
-		{"retained", 0, 0},
-		{"spill+pool", 4096, 6000},
-	}
-	const allRanges = 1 << 30
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for _, b := range budgets {
-			for _, ranges := range []int{2, 5, allRanges} {
-				cfg := base
-				cfg.Workers = workers
-				cfg.MemBudget = b.mem
-				cfg.DecodedBudget = b.decoded
-				cfg.SnapshotRanges = ranges
-				label := fmt.Sprintf("snapshot/%s/workers=%d/ranges=%d", b.name, workers, ranges)
-				got := RunSuite(specs, cfg)
-				assertSuitesEqual(t, label, chained, got)
-				m := got.Mem
-				if m.SnapshotCount == 0 || m.SnapshotBytes == 0 || m.SnapshotPeak == 0 {
-					t.Fatalf("%s: checkpointed run took no snapshots: %+v", label, m)
-				}
-				for _, r := range got.Inputs {
-					if r.Mem.SnapshotPeak > r.Mem.SnapshotBytes {
-						t.Fatalf("%s/%s: snapshot peak %d exceeds total %d",
-							label, r.Spec.Name(), r.Mem.SnapshotPeak, r.Mem.SnapshotBytes)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSnapshotTaskFanOut pins the engine's reason to exist: with R
+// TestSnapshotTaskFanOut pins checkpointing's reason to exist: with R
 // ranges, every bank slot checkpoints R-1 boundary states, so the grid
-// ran numBankSlots × R independent sweep tasks — well past the 34-chain
+// ran numBankSlots × R independent sweep chains — well past the 34-chain
 // ceiling.
 func TestSnapshotTaskFanOut(t *testing.T) {
 	const ranges = 5
@@ -83,17 +30,17 @@ func TestSnapshotTaskFanOut(t *testing.T) {
 }
 
 // TestSnapshotRangesClampToChunks pins the degenerate geometries: more
-// ranges than chunks clamps cleanly, and 0/1 ranges stay on the chained
-// engine (no snapshots at all).
+// ranges than chunks clamps cleanly, and 0/1 ranges sweep one chain per
+// slot (no snapshots at all).
 func TestSnapshotRangesClampToChunks(t *testing.T) {
 	spec := testSpec(t, "perl", "primes.pl")
 	base := Config{Scale: testScale, ChunkEvents: 256}
-	chained := RunSuite([]workload.Spec{spec}, base)
+	single := RunSuite([]workload.Spec{spec}, base)
 	for _, ranges := range []int{0, 1} {
 		cfg := base
 		cfg.SnapshotRanges = ranges
 		got := RunSuite([]workload.Spec{spec}, cfg)
-		assertSuitesEqual(t, fmt.Sprintf("ranges=%d", ranges), chained, got)
+		assertSuitesEqual(t, fmt.Sprintf("ranges=%d", ranges), single, got)
 		if got.Mem.SnapshotCount != 0 {
 			t.Fatalf("ranges=%d took %d snapshots, want none", ranges, got.Mem.SnapshotCount)
 		}
@@ -144,7 +91,10 @@ func TestRunPredictorSnapshotMatchesRun(t *testing.T) {
 		}
 		for _, ranges := range []int{1, 3, 7, 1 << 30} {
 			for _, workers := range []int{1, 4} {
-				got, stats := RunPredictorSnapshot(h, mk, ranges, workers)
+				got, stats, err := RunPredictorSnapshot(h, mk, ranges, workers)
+				if err != nil {
+					t.Fatalf("%s ranges=%d workers=%d: %v", name, ranges, workers, err)
+				}
 				if got.Misses != want.Misses || got.Events != want.Events {
 					t.Fatalf("%s ranges=%d workers=%d: misses/events %d/%d, want %d/%d",
 						name, ranges, workers, got.Misses, got.Events, want.Misses, want.Events)
@@ -154,6 +104,49 @@ func TestRunPredictorSnapshotMatchesRun(t *testing.T) {
 						name, ranges, stats.Snapshots, stats.Ranges)
 				}
 			}
+		}
+	}
+}
+
+// TestRunPredictorSnapshotCorruptSpill: a damaged spill chunk surfaces
+// as an error that still unwraps to trace.ErrCorruptSpill — whether the
+// sequential warmup or a range worker pages it in — and never as a
+// panic, so brsim can quarantine the file and re-record.
+func TestRunPredictorSnapshotCorruptSpill(t *testing.T) {
+	const ranges = 4
+	for _, tc := range []struct {
+		name   string
+		num    int64 // damage offset: num/den of the way into the file
+		den    int64
+		warmup bool // whether that offset lies in a chunk the warmup pages
+	}{
+		{"warmup", 2, 5, true},
+		{"last-range", 9, 10, false},
+	} {
+		path := filepath.Join(t.TempDir(), "li.btr")
+		sr, err := trace.NewStreamRecorder(path, 256, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testSpec(t, "li", "ref.lsp").Run(sr, testScale)
+		h, err := sr.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		corruptFileAt(t, path, tc.num, tc.den)
+
+		mk := func() SnapshotPredictor { return bpred.NewPAs(6) }
+		_, _, err = RunPredictorSnapshot(h, mk, ranges, 2)
+		if !errors.Is(err, trace.ErrCorruptSpill) {
+			t.Fatalf("%s: err = %v, want one wrapping ErrCorruptSpill", tc.name, err)
+		}
+		var ce *trace.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: err = %v carries no chunk", tc.name, err)
+		}
+		bounds := snapshotBounds(h.Chunks(), ranges)
+		if inWarmup := ce.Chunk < bounds[ranges-1]; inWarmup != tc.warmup {
+			t.Fatalf("%s: damage landed in chunk %d (ranges %v)", tc.name, ce.Chunk, bounds)
 		}
 	}
 }

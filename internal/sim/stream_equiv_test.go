@@ -39,21 +39,19 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 		mem     int64 // Config.MemBudget
 		decoded int64 // Config.DecodedBudget
 		ranges  int   // Config.SnapshotRanges
-		mmap    bool  // Config.MmapSpill
 		ra      int   // Config.ReadAhead
 	}{
-		{"spill+pool", 4096, 6000, 0, false, 0},
-		{"spill+cache-nothing", 4096, -1, 0, false, 0},
-		{"resident+pool", 0, 6000, 0, false, 0},
-		{"spill+pool+snapshot", 4096, 6000, 3, false, 0},
-		{"spill+pool+mmap", 4096, 6000, 0, true, 0},
+		{"spill+pool", 4096, 6000, 0, 0},
+		{"spill+cache-nothing", 4096, -1, 0, 0},
+		{"resident+pool", 0, 6000, 0, 0},
+		{"spill+pool+snapshot", 4096, 6000, 3, 0},
 		// Read-ahead legs get a pool that can hold the windows (still
 		// well under the decoded whole, so eviction stays exercised):
 		// prefetching into a pool drowning in demand churn is all waste.
-		{"spill+pool+ra2", 4096, 20000, 0, false, 2},
-		{"spill+pool+ra8", 4096, 20000, 0, false, 8},
-		{"spill+pool+snapshot+ra", 4096, 20000, 3, false, 4},
-		{"resident+pool+ra", 0, 20000, 0, false, 2},
+		{"spill+pool+ra2", 4096, 20000, 0, 2},
+		{"spill+pool+ra8", 4096, 20000, 0, 8},
+		{"spill+pool+snapshot+ra", 4096, 20000, 3, 4},
+		{"resident+pool+ra", 0, 20000, 0, 2},
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, b := range budgets {
@@ -62,7 +60,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 			cfg.MemBudget = b.mem
 			cfg.DecodedBudget = b.decoded
 			cfg.SnapshotRanges = b.ranges
-			cfg.MmapSpill = b.mmap
 			cfg.ReadAhead = b.ra
 			label := fmt.Sprintf("%s/workers=%d", b.name, workers)
 			got := RunSuite(specs, cfg)
@@ -87,14 +84,7 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 					t.Fatalf("%s: checkpointed streamed run took no snapshots (mem %+v)", label, m)
 				}
 			} else if m.SnapshotCount != 0 {
-				t.Fatalf("%s: chained run took snapshots (mem %+v)", label, m)
-			}
-			if b.mmap {
-				for _, r := range got.Inputs {
-					if !r.Recorded.Mmapped() {
-						t.Fatalf("%s/%s: MmapSpill run paged via pread", label, r.Spec.Name())
-					}
-				}
+				t.Fatalf("%s: single-range run took snapshots (mem %+v)", label, m)
 			}
 			if b.ra > 0 {
 				if m.PrefetchInFlightPeak == 0 {
@@ -113,17 +103,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 				t.Fatalf("%s: non-read-ahead run recorded prefetch traffic (mem %+v)", label, m)
 			}
 		}
-	}
-
-	// The legacy engines stream too: NoSched routes through RunInput's
-	// WaitGroup sweep, whose replays page straight off the handle.
-	noSched := base
-	noSched.NoSched = true
-	noSched.MemBudget = 4096
-	got := RunSuite(specs, noSched)
-	assertSuitesEqual(t, "nosched-streamed", retained, got)
-	if got.Mem.PageIns == 0 {
-		t.Fatal("nosched-streamed: never paged from its spill")
 	}
 }
 

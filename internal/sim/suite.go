@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"btr/internal/core"
 	"btr/internal/sched"
@@ -88,26 +86,19 @@ type SuiteResult struct {
 	Dropped []InputError
 }
 
-// RunSuite runs every spec through the two-pass pipeline and aggregates.
-//
-// The default engine is one global work-stealing scheduler over
-// (input, bank-batch) tasks: each input starts as a profile+record
-// task, and each completed recording fans out its 34-slot PAs/GAs sweep
-// as worker-sized batches into the same queue, so late-arriving fan-out
-// from a heavy input backfills cores freed by small ones instead of
-// queueing behind a private per-input pool. Every sweep batch is a pure
-// function of its input's recorded stream, so scheduling order cannot
-// change results (bit-for-bit identical to the nested-pool and
-// NoRecord engines; see TestScheduledMatchesLegacy).
-//
-// cfg.NoSched (or cfg.NoRecord, whose regenerating pipeline has no
-// schedulable sweep stage) selects the legacy shape instead: a bounded
-// pool of whole-input workers, each sharding its own bank.
+// RunSuite runs every spec through the two-pass pipeline and aggregates,
+// as one group on cfg.Sched or, when that is nil, on a private
+// scheduler of cfg.Workers workers stopped on return (see
+// RunSuiteGroup for the task grid).
 func RunSuite(specs []workload.Spec, cfg Config) *SuiteResult {
-	if cfg.NoSched || cfg.NoRecord {
-		return runSuitePool(specs, cfg)
+	s := cfg.Sched
+	if s == nil {
+		// Workers are NOT clamped to len(specs): the sweep fan-out gives
+		// every core work even for a single-input suite.
+		s = sched.New(cfg.suiteWorkers())
+		defer s.Close()
 	}
-	return runSuiteScheduled(specs, cfg)
+	return RunSuiteGroup(s.NewGroup(), specs, cfg)
 }
 
 func (c Config) suiteWorkers() int {
@@ -117,43 +108,27 @@ func (c Config) suiteWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runSuiteScheduled is the global-scheduler engine. With cfg.Sched set
-// the suite rides that shared scheduler; otherwise a private one is
-// built and stopped around the run.
-func runSuiteScheduled(specs []workload.Spec, cfg Config) *SuiteResult {
-	s := cfg.Sched
-	if s == nil {
-		// Workers are NOT clamped to len(specs): the sweep fan-out gives
-		// every core work even for a single-input suite.
-		s = sched.New(cfg.suiteWorkers())
-		defer s.Close()
-	}
-	return RunSuiteOn(s, specs, cfg)
-}
-
-// RunSuiteOn runs the scheduled engine's task grid for specs as one
-// completion-tracked group on s, which may be shared by any number of
-// concurrent suite runs: each call gets a private barrier (and private
-// panic propagation) while every call's profile, attribution and sweep
-// tasks steal-balance over the same workers. The scheduler is left
-// running. Configs selecting the pool engines (NoSched, NoRecord) have
-// no schedulable task grid and run their private pools instead, s
-// untouched. Results are bit-identical to RunSuite for every engine and
-// any number of concurrent callers — scheduling order is
-// result-invisible by construction.
+// RunSuiteOn is RunSuite as a fresh group on s, which may be shared by
+// any number of concurrent suite runs: each call gets a private barrier
+// (and private panic propagation) while every call's tasks
+// steal-balance over the same workers. The scheduler is left running.
 func RunSuiteOn(s *sched.Scheduler, specs []workload.Spec, cfg Config) *SuiteResult {
-	if cfg.NoSched || cfg.NoRecord {
-		return runSuitePool(specs, cfg)
-	}
 	return RunSuiteGroup(s.NewGroup(), specs, cfg)
 }
 
-// RunSuiteGroup is RunSuiteOn with a caller-owned group: the suite's
-// whole task grid joins g, so the caller can Cancel it mid-run (a
-// disconnected client, a deadline) — canceled inputs land in
-// SuiteResult.Dropped with ErrCanceled and the call returns once the
-// queued tasks drain, in bounded time because every grid checks the
-// flag at task boundaries.
+// RunSuiteGroup runs the suite's task grid as group g and waits for it.
+// Each input starts as a profile+record task; its completed recording
+// fans out an attribution grid over chunk ranges, whose last task
+// launches the bank sweep grid (sweepGrid) into the same queue, so
+// late-arriving fan-out from a heavy input backfills cores freed by
+// small ones. Every task is a pure function of its input's recorded
+// stream, so scheduling order — and any number of concurrent callers
+// on the same scheduler — cannot change results.
+//
+// The caller owns g and can Cancel it mid-run (a disconnected client, a
+// deadline): canceled inputs land in SuiteResult.Dropped with
+// ErrCanceled and the call returns once the queued tasks drain, in
+// bounded time because every grid checks the flag at task boundaries.
 //
 // It is also where spill corruption is recovered: an input that failed
 // because its cached recording no longer decodes (errors.Is
@@ -163,9 +138,6 @@ func RunSuiteOn(s *sched.Scheduler, specs []workload.Spec, cfg Config) *SuiteRes
 // its result is bit-identical to an uncorrupted run; a second failure
 // stays in Dropped with its cause.
 func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResult {
-	if cfg.NoSched || cfg.NoRecord {
-		return runSuitePool(specs, cfg)
-	}
 	workers := g.Scheduler().Workers()
 	results := make([]*InputResult, len(specs))
 	errs := make([]error, len(specs))
@@ -195,43 +167,21 @@ func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResu
 	return aggregate(results, specs, errs, cfg)
 }
 
-// profileTask runs one input's pass 1 and fans out its bank sweep as a
-// (slot × chunk-range) task grid (or whole-trace slot batches under
-// cfg.ChunkTasks < 0). In the chunked engine the attribution pre-pass
-// is itself a parallel task grid (attribGrid) between pass 1 and the
-// sweep, and the sweep checks chunks out of a byte-budgeted decoded
-// pool instead of a fully retained column array. A panicking workload
-// is converted to a per-input error (the result stays nil and is
-// reported via SuiteResult.Dropped); the suite run continues. The last
-// sweep task to finish folds the counters and publishes the result —
-// Scheduler.Wait's barrier makes the write visible to the aggregation.
+// profileTask runs one input's pass 1 and hands the recording to the
+// attribution grid, which in turn launches the bank sweep; a profile-
+// cache hit skips straight to the sweep. A panicking workload is
+// converted to a per-input error (the result stays nil and is reported
+// via SuiteResult.Dropped); the suite run continues. The sweep's last
+// task folds the counters and publishes the result — the group's Wait
+// barrier makes the write visible to the aggregation.
 func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, out **InputResult, errOut *error) {
 	if w.Canceled() {
 		*errOut = ErrCanceled
 		return
 	}
-	if cfg.ChunkTasks < 0 {
-		// Slot-only baseline: sequential attribution, whole-trace batches.
-		var res *InputResult
-		var classIdx []uint8
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					*errOut = recoveredErr("workload panicked", r)
-				}
-			}()
-			res, classIdx = profileStage(spec, cfg)
-		}()
-		if res == nil {
-			return
-		}
-		slotOnlySweep(w, cfg, workers, res, classIdx, out, errOut)
-		return
-	}
 	if res, classIdx, ok := profileCached(spec, cfg); ok {
 		// Cached profile: no generator, no attribution — straight to sweep.
-		pool := cfg.newDecodedPool(res.Recorded)
-		startSweep(w, cfg, res, classIdx, pool, out, errOut)
+		startSweep(w, cfg, res, classIdx, cfg.newDecodedPool(res.Recorded), out, errOut)
 		return
 	}
 	var res *InputResult
@@ -247,270 +197,6 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, o
 		return
 	}
 	newAttribGrid(cfg, spec, res, workers, out, errOut).launch(w)
-}
-
-// startChunkSweep fans an input's bank sweep out as numBankSlots chains
-// over the decoded-chunk pool. Chain heads go out oldest-first: the
-// submitting worker pops the last chain LIFO and rides it range by
-// range (hot predictor tables), while thieves peel whole un-started
-// chains FIFO.
-func startChunkSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) {
-	cs := newChunkSweep(cfg, res, classIdx, pool, out, errOut)
-	if cs.live.Load() == 0 {
-		// Empty recording: nothing to sweep, publish immediately.
-		finalizeMem(res, pool)
-		*out = res
-		return
-	}
-	for i := range cs.chains {
-		i := i
-		w.Submit(func(w *sched.Worker) { cs.advance(w, i) })
-	}
-}
-
-// slotOnlySweep is the PR-2 sweep shape, kept bit-identical as the
-// chunk-axis baseline (cfg.ChunkTasks < 0): BankWorkers whole-trace
-// batches, clamped to the worker count because each batch decodes the
-// trace itself — exactly the redundancy the chunk-range grid removes.
-// Cancellation is checked per batch (the coarsest boundary this shape
-// has): a canceled batch poisons the sweep with ErrCanceled and the
-// input lands in Dropped unpublished.
-func slotOnlySweep(w *sched.Worker, cfg Config, workers int, res *InputResult, classIdx []uint8, out **InputResult, errOut *error) {
-	batches := cfg.bankWorkers()
-	if batches > workers {
-		batches = workers
-	}
-	misses := make([]missCell, numBankSlots)
-	groups := bankGroups(batches, misses)
-	var remaining atomic.Int32
-	var failed atomic.Bool
-	remaining.Store(int32(len(groups)))
-	for _, group := range groups {
-		group := group
-		w.Submit(func(w *sched.Worker) {
-			if failed.Load() {
-				return
-			}
-			if w.Canceled() {
-				if failed.CompareAndSwap(false, true) {
-					*errOut = ErrCanceled
-				}
-				return
-			}
-			sweepSlots(group, res.Recorded, classIdx)
-			if remaining.Add(-1) == 0 {
-				foldMisses(res, misses)
-				finalizeMem(res, nil)
-				*out = res
-			}
-		})
-	}
-}
-
-// chunkSweep is one input's in-flight (slot × chunk-range) sweep grid.
-// Every bank slot is its own chain over the shared decoded-chunk pool
-// (Checkout decodes — or pages from the spill file — on miss, the
-// budget bounds what stays resident between visits); a chain's ranges
-// run strictly in order (the predictor state hands off from range to
-// range by living in the chain), so results are bit-identical to a
-// serial sweep, while distinct chains are independent and steal-
-// balanced across every core. Each range accumulates into its own
-// partial missCell; fold reduces the partials in (slot, range) order
-// once the last chain finishes.
-type chunkSweep struct {
-	res      *InputResult
-	classIdx []uint8
-	pool     *trace.DecodedPool
-	nchunks  int
-	stride   int // chunks per range task
-	ra       int // read-ahead depth (Config.ReadAhead); 0 = no hints
-	chains   []sweepChain
-	live     atomic.Int32 // chains not yet exhausted
-	failed   atomic.Bool  // poison: a chain hit a paging failure
-	out      **InputResult
-	errOut   *error
-}
-
-// sweepChain is one bank slot's sequential march over the chunk axis.
-// next, pf and partials are only touched by the chain's current task,
-// and the scheduler orders task (slot, r) before (slot, r+1) by
-// construction, so the chain needs no locking.
-type sweepChain struct {
-	slot     int
-	p        chunkSweeper
-	next     int        // next chunk index to sweep
-	pf       int        // first chunk index not yet hinted to the prefetcher
-	partials []missCell // one per completed range, in range order
-}
-
-func newChunkSweep(cfg Config, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) *chunkSweep {
-	nchunks := res.Recorded.Chunks()
-	cs := &chunkSweep{
-		res:      res,
-		classIdx: classIdx,
-		pool:     pool,
-		nchunks:  nchunks,
-		stride:   cfg.chunkTasks(),
-		ra:       cfg.ReadAhead,
-		chains:   make([]sweepChain, numBankSlots),
-		out:      out,
-		errOut:   errOut,
-	}
-	// Capacity hint only; over-wide strides still append exactly one
-	// partial per completed range.
-	ranges := nchunks/cs.stride + 1
-	if nchunks > 0 {
-		cs.live.Store(int32(numBankSlots))
-	}
-	for i := range cs.chains {
-		cs.chains[i] = sweepChain{slot: i, p: bankSlotPredictor(i), partials: make([]missCell, 0, ranges)}
-	}
-	return cs
-}
-
-// advance runs one (slot, chunk-range) task: check the chain's next
-// stride chunks out of the pool, sweep them, bank the range's partial,
-// and either re-queue the chain's continuation or — as the last chain
-// to exhaust the trace — fold and publish the input's result. A panic
-// (a spill paging failure) poisons the grid: the cause is recorded
-// once, sibling chains bail out at their next range, live never
-// reaches zero, and the unpublished input is reported via
-// SuiteResult.Dropped. Group cancellation poisons the same way with
-// ErrCanceled, so a canceled request's chains stop at their next range
-// instead of sweeping the rest of the trace.
-func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
-	defer func() {
-		if r := recover(); r != nil {
-			if cs.failed.CompareAndSwap(false, true) {
-				*cs.errOut = recoveredErr("bank sweep failed", r)
-				// The grid never publishes (finalizeMem never runs), so
-				// the poisoning task stops the prefetch workers itself.
-				cs.pool.CancelPrefetch()
-				cs.pool.ClosePrefetch()
-			}
-		}
-	}()
-	if cs.failed.Load() {
-		return
-	}
-	if w.Canceled() {
-		if cs.failed.CompareAndSwap(false, true) {
-			*cs.errOut = ErrCanceled
-			cs.pool.CancelPrefetch()
-			cs.pool.ClosePrefetch()
-		}
-		return
-	}
-	ch := &cs.chains[ci]
-	end := ch.next + cs.stride
-	if end > cs.nchunks || end < 0 { // < 0: stride overflow near MaxInt
-		end = cs.nchunks
-	}
-	var cell missCell
-	var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
-	scratch := wrong[:]
-	for k := ch.next; k < end; k++ {
-		if cs.ra > 0 {
-			// Hint the chain's upcoming window (across range boundaries —
-			// the chain marches the whole chunk axis) so paging and decode
-			// run ahead of the cursor.
-			hi := k + 1 + cs.ra
-			if hi > cs.nchunks {
-				hi = cs.nchunks
-			}
-			if ch.pf <= k {
-				ch.pf = k + 1
-			}
-			for ; ch.pf < hi; ch.pf++ {
-				cs.pool.Prefetch(ch.pf)
-			}
-		}
-		d := cs.pool.Checkout(k)
-		if words := (d.N + 63) / 64; words > len(scratch) {
-			scratch = make([]uint64, words)
-		}
-		sweepDecodedChunk(ch.p, d, cs.classIdx[d.Base:d.Base+int64(d.N)], &cell, scratch)
-		cs.pool.Release(k)
-	}
-	ch.partials = append(ch.partials, cell)
-	ch.next = end
-	if end < cs.nchunks {
-		if cs.ra > 0 {
-			// Read-ahead mode convoys the chains: breadth-first
-			// continuations keep all the slots' cursors clustered, so a
-			// transit chunk decoded (or prefetched) for one chain is
-			// still resident when the other 33 arrive, instead of every
-			// chain re-paying the decode on its own depth-first march.
-			w.SubmitFair(func(w *sched.Worker) { cs.advance(w, ci) })
-		} else {
-			w.Submit(func(w *sched.Worker) { cs.advance(w, ci) })
-		}
-		return
-	}
-	if cs.live.Add(-1) == 0 {
-		cs.fold()
-		finalizeMem(cs.res, cs.pool)
-		*cs.out = cs.res
-	}
-}
-
-// fold is the chunk-axis reduction: per-range partials sum into flat
-// per-slot cells in deterministic (slot, range) order — int64 addition,
-// so any order would be bit-identical anyway — and land in res.Miss via
-// foldMisses.
-func (cs *chunkSweep) fold() {
-	flat := make([]missCell, numBankSlots)
-	for i := range cs.chains {
-		ch := &cs.chains[i]
-		for r := range ch.partials {
-			addCell(&flat[ch.slot], &ch.partials[r])
-		}
-	}
-	foldMisses(cs.res, flat)
-}
-
-// runSuitePool is the legacy nested-pool engine: exactly
-// min(Workers, len(specs)) goroutines pull input indices from a shared
-// queue and run whole inputs (each sharding its own bank via RunInput),
-// so worker count — not just concurrency — stays fixed no matter how
-// large the suite is.
-func runSuitePool(specs []workload.Spec, cfg Config) *SuiteResult {
-	workers := cfg.suiteWorkers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	results := make([]*InputResult, len(specs))
-	errs := make([]error, len(specs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				runOne(specs[i], cfg, &results[i], &errs[i])
-			}
-		}()
-	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return aggregate(results, specs, errs, cfg)
-}
-
-// runOne runs a single input, converting a panicking workload into a nil
-// result with a recorded cause (reported via SuiteResult.Dropped) so one
-// bad generator cannot take down a whole suite run.
-func runOne(spec workload.Spec, cfg Config, out **InputResult, errOut *error) {
-	defer func() {
-		if r := recover(); r != nil {
-			*out = nil
-			*errOut = fmt.Errorf("workload panicked: %v", r)
-		}
-	}()
-	*out = RunInput(spec, cfg)
 }
 
 // Aggregate folds per-input results into a SuiteResult. Nil entries —

@@ -11,7 +11,7 @@ import (
 
 // Handle is the out-of-core view of one recording: the same chunked
 // event stream a ChunkedTrace holds, but whose columns may live in
-// memory, in a BTR1 spill file, or both. A fully resident handle wraps
+// memory, in a spill file, or both. A fully resident handle wraps
 // an existing trace with zero copying; a spill-backed handle pages
 // chunks in on demand and can drop its resident columns (Release)
 // without invalidating readers. Replay paths that used to require the
@@ -78,9 +78,8 @@ type Handle struct {
 	path     string        // spill file, "" for anonymous temp or memory-only
 	f        *os.File      // open spill file, lazily opened from path
 	fileSize int64
-	idx      []chunkPos  // per-chunk file positions, lazily built
-	mm       *mmapRegion // read-only mapping of the spill file; nil = pread
-	sio      SpillIO     // injectable spill file ops; nil = direct
+	idx      []chunkPos // per-chunk file positions, lazily built
+	sio      SpillIO    // injectable spill file ops; nil = direct
 
 	pageIns     atomic.Int64
 	readRetries atomic.Int64
@@ -215,7 +214,7 @@ func (h *Handle) readFull(f *os.File, p []byte, off int64) error {
 	}
 }
 
-// Spilled reports whether the recording is backed by a BTR1 file.
+// Spilled reports whether the recording is backed by a spill file.
 func (h *Handle) Spilled() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -319,39 +318,6 @@ func (h *Handle) indexLocked() ([]chunkPos, error) {
 	return idx, nil
 }
 
-// EnableMmap switches the handle's spill paging from pread to a
-// read-only shared mapping of the whole file. Page-ins then decode
-// straight out of the mapping — no read syscall, no copy of the encoded
-// bytes — and the OS page cache, not the handle, decides what stays
-// warm. Idempotent; requires spill backing. On platforms without mmap
-// support (or for files too large to map) it returns an error and the
-// handle keeps paging via pread, so callers may treat failure as a soft
-// fallback.
-func (h *Handle) EnableMmap() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.mm != nil {
-		return nil
-	}
-	f, err := h.fileLocked()
-	if err != nil {
-		return err
-	}
-	mm, err := mapFile(f, h.fileSize)
-	if err != nil {
-		return err
-	}
-	h.mm = mm
-	return nil
-}
-
-// Mmapped reports whether spill page-ins decode from a mapping.
-func (h *Handle) Mmapped() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.mm != nil
-}
-
 // chunkLen returns chunk k's event count.
 func (h *Handle) chunkLen(k int) int {
 	if k == h.nchunks-1 {
@@ -395,15 +361,9 @@ func (h *Handle) DecodeChunkInto(k int, pcs, dirs []uint64) (DecodedChunk, error
 		return DecodedChunk{}, err
 	}
 	fileSize := h.fileSize
-	mm := h.mm
 	h.mu.Unlock()
 
-	var d DecodedChunk
-	if mm != nil {
-		d, err = h.readChunkMapped(mm, idx, fileSize, k, h.chunkLen(k), pcs, dirs)
-	} else {
-		d, err = h.readChunkAt(f, idx, fileSize, k, h.chunkLen(k), pcs, dirs)
-	}
+	d, err := h.readChunkAt(f, idx, fileSize, k, h.chunkLen(k), pcs, dirs)
 	if err != nil {
 		return DecodedChunk{}, err
 	}
@@ -414,9 +374,9 @@ func (h *Handle) DecodeChunkInto(k int, pcs, dirs []uint64) (DecodedChunk, error
 
 // DecodeChunkRun decodes the n consecutive chunks starting at k0 into
 // fresh columns. Chunks paged via pread coalesce into a single ReadAt
-// covering the run's whole byte span; resident and mmapped chunks
-// decode per-chunk exactly as DecodeChunk does. It exists for the
-// decoded pool's prefetcher, which batches adjacent read-ahead hints.
+// covering the run's whole byte span; resident chunks decode per-chunk
+// exactly as DecodeChunk does. It exists for the decoded pool's
+// prefetcher, which batches adjacent read-ahead hints.
 func (h *Handle) DecodeChunkRun(k0, n int) ([]DecodedChunk, error) {
 	if n <= 0 || k0 < 0 || k0+n > h.nchunks {
 		return nil, fmt.Errorf("trace: chunk run [%d,%d) out of range [0,%d)", k0, k0+n, h.nchunks)
@@ -460,12 +420,9 @@ func (h *Handle) DecodeChunkRun(k0, n int) ([]DecodedChunk, error) {
 		return nil, err
 	}
 	fileSize := h.fileSize
-	mm := h.mm
 	h.mu.Unlock()
 
-	if mm != nil || n == 1 {
-		// The mapping already makes every span a plain memory read;
-		// nothing to coalesce.
+	if n == 1 {
 		for i := range rest {
 			d, err := h.DecodeChunk(k0 + i)
 			if err != nil {

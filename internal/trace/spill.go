@@ -15,11 +15,11 @@ import (
 // the paging store behind a Handle. New spill files are written in the
 // checksummed BTR2 chunk-frame format (codec.go), whose frames map 1:1
 // onto the handle's chunks — random access is one bounded ReadAt per
-// frame, and the frame checksum is verified on every page-in, pread and
-// mmap alike. Legacy BTR1 files remain readable: their self-delimiting
-// group stream needs a sequential scan to build a chunk index
-// (chunkPos), after which chunks decode from group spans, with
-// structural checks but no checksums.
+// frame, and the frame checksum is verified on every page-in. Legacy
+// BTR1 files remain readable: their self-delimiting group stream needs
+// a sequential scan to build a chunk index (chunkPos), after which
+// chunks decode from group spans, with structural checks but no
+// checksums.
 
 // spillEncoder streams events into BTR2 chunk frames on an io.Writer,
 // tracking the chunk index as it goes. It is the shared encoding core
@@ -448,20 +448,9 @@ func (h *Handle) readChunkAt(f *os.File, idx []chunkPos, fileSize int64, k, n in
 	return decodeChunk(buf, idx[k], k, n, h.chunkEvents, pcs, dirs)
 }
 
-// readChunkMapped is readChunkAt over an mmapped spill file: the same
-// checksum-verified decode, but straight out of the mapping — no read
-// syscall, no copy of the encoded bytes.
-func (h *Handle) readChunkMapped(mm *mmapRegion, idx []chunkPos, fileSize int64, k, n int, pcs, dirs []uint64) (DecodedChunk, error) {
-	start, end := chunkSpan(idx, fileSize, k)
-	if end > int64(len(mm.data)) {
-		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk span past the mapped file"}
-	}
-	return decodeChunk(mm.data[start:end], idx[k], k, n, h.chunkEvents, pcs, dirs)
-}
-
 // decodeChunk verifies (BTR2) and decodes chunk k from buf, which must
 // start at the chunk's span offset. Every page-in funnels through here,
-// pread and mmap alike, so a damaged chunk is detected before a single
+// single-chunk and coalesced reads alike, so a damaged chunk is detected before a single
 // wrong event reaches a replay.
 func decodeChunk(buf []byte, pos chunkPos, k, n, chunkEvents int, pcs, dirs []uint64) (DecodedChunk, error) {
 	if pos.plen > 0 {
