@@ -100,7 +100,7 @@ func BenchmarkSuiteSweepStreaming(b *testing.B) {
 
 // BenchmarkSuiteSweepStreamingReadAhead is BenchmarkSuiteSweepStreaming
 // with the read-ahead pipeline on: every sweep chain hints 4 chunks
-// ahead, so spill page-ins and BTR2 decode run on the prefetch workers
+// ahead, so spill page-ins and BTR3 decode run on the prefetch workers
 // (coalesced into run-sized reads) instead of stalling the chains. The
 // delta to BenchmarkSuiteSweepStreaming is the recovered streaming tax;
 // the residual gap to BenchmarkSuiteSweep is what bounded memory still

@@ -27,11 +27,11 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale; 1.0 = Table 1 counts /1000")
 	workers := flag.Int("workers", 0, "scheduler workers (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "recorded-trace chunk size in events, which is also one sweep task's grain (0 = default)")
-	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR2 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
+	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR3 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
 	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decoded-chunk pool during the bank sweep; LRU columns past it are re-decoded on the next visit (0 = retain all decoded columns, negative = retain none)")
 	snapshotRanges := flag.Int("snapshotranges", 0, "split every bank slot's sweep into this many checkpointed chunk ranges that run concurrently from restored predictor snapshots; breaks the 34-slot parallelism ceiling when cores outnumber slots (0 or 1 = one range per slot, the default; results are bit-identical either way)")
-	readAhead := flag.Int("readahead", 0, "prefetch this many chunks ahead of every sweep cursor: spill paging and BTR2 decode overlap with predictor compute, with prefetched columns charged against -decodedbudget (0 = no read-ahead; results are bit-identical either way)")
-	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR2 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
+	readAhead := flag.Int("readahead", 0, "prefetch this many chunks ahead of every sweep cursor: spill paging and BTR3 decode overlap with predictor compute, with prefetched columns charged against -decodedbudget (0 = no read-ahead; results are bit-identical either way)")
+	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR3 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	out := flag.String("out", "results", "output directory")
 	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")

@@ -41,7 +41,7 @@ func main() {
 	maxMemBudget := flag.Int64("maxmembudget", 0, "per-request -membudget cap in bytes (0 = 1 GiB)")
 	maxDecodedBudget := flag.Int64("maxdecodedbudget", 0, "per-request -decodedbudget cap in bytes (0 = 1 GiB)")
 	cacheBytes := flag.Int64("cachebytes", 0, "shared trace-cache resident-byte budget (0 = default)")
-	cachedir := flag.String("cachedir", "", "spill shared recorded traces to BTR2 files here (persists across restarts)")
+	cachedir := flag.String("cachedir", "", "spill shared recorded traces to BTR3 files here (persists across restarts)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline; past it the request is canceled and its stream ends with a canceled record (0 = unbounded, deadline_ms in the request overrides)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight requests during shutdown")
 	flag.Parse()

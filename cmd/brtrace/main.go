@@ -20,8 +20,8 @@
 //
 // -verify audits spill files — one file, or every *.btr under a
 // directory (a trace-cache dir): header, frame structure, event counts,
-// and, for BTR2, every chunk's checksum and decodability. One PASS/FAIL
-// line per file; the exit status is nonzero if any file fails.
+// and every chunk's checksum and decodability. One PASS/FAIL line per
+// file; the exit status is nonzero if any file fails.
 // Quarantined and temporary files (*.quarantined, *.tmp*) are skipped.
 package main
 
@@ -42,7 +42,7 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name")
 	input := flag.String("input", "", "input set name")
 	scale := flag.Float64("scale", 0.1, "workload scale")
-	out := flag.String("o", "", "output trace file (BTR1 binary)")
+	out := flag.String("o", "", "output trace file (BTR1 binary; with -membudget, a BTR3 spill file)")
 	memBudget := flag.Int64("membudget", 0, "record through the streaming recorder with at most about this many resident bytes, then audit-replay the spill (0 = buffer in memory as before)")
 	readAhead := flag.Int("readahead", 0, "during the -membudget audit replay, prefetch this many chunks ahead of the cursor so spill paging overlaps the replay (0 = demand paging)")
 	info := flag.String("info", "", "summarise an existing trace file")
@@ -97,10 +97,11 @@ func main() {
 			fatal(err)
 		}
 	case *bench != "" && *input != "" && *out != "" && *memBudget > 0:
-		// Streamed recording: events go straight to the BTR1 file with a
-		// bounded resident prefix — the memory shape a paper-scale run
-		// has — then an audit replay pages every chunk back in through a
-		// budgeted decoded pool and reports the memory-shape counters.
+		// Streamed recording: a StreamRecorder writes events straight to
+		// a BTR3 spill file with a bounded resident prefix — the memory
+		// shape a paper-scale run has — then an audit replay pages every
+		// chunk back in through a budgeted decoded pool and reports the
+		// memory-shape counters.
 		spec, err := btr.FindWorkload(*bench, *input)
 		if err != nil {
 			fatal(err)
@@ -121,19 +122,10 @@ func main() {
 		if *readAhead > 0 {
 			pool.EnablePrefetch(0, 0)
 		}
-		pf := 1
-		for k := 0; k < h.Chunks(); k++ {
-			if *readAhead > 0 {
-				hi := k + 1 + *readAhead
-				if hi > h.Chunks() {
-					hi = h.Chunks()
-				}
-				for ; pf < hi; pf++ {
-					pool.Prefetch(pf)
-				}
+		for r := pool.Reader(*readAhead); ; {
+			if _, _, _, ok := r.NextChunk(); !ok {
+				break
 			}
-			pool.Checkout(k)
-			pool.Release(k)
 		}
 		pool.ClosePrefetch()
 		ps := pool.Stats()

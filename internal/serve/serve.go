@@ -55,7 +55,7 @@ type Config struct {
 	// (0 = trace.DefaultCacheBytes). Ignored when Shared is set.
 	CacheBytes int64
 	// CacheDir, when non-empty, makes the shared trace cache persistent
-	// (BTR2 spill files). Ignored when Shared is set.
+	// (BTR3 spill files). Ignored when Shared is set.
 	CacheDir string
 	// DefaultDeadline, when > 0, bounds every request that does not set
 	// its own deadline_ms: a request still running when it expires is

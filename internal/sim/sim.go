@@ -87,7 +87,7 @@ type Config struct {
 	Cache *trace.Cache
 	// MemBudget, when > 0, streams pass 1 through a bounded window
 	// instead of retaining the whole recording: events are written to a
-	// BTR2 spill file as they are generated (the trace cache's spill
+	// BTR3 spill file as they are generated (the trace cache's spill
 	// directory when one is configured, otherwise an anonymous temp
 	// file) and at most about MemBudget bytes of leading chunk columns
 	// stay resident; replays page the remainder back in. Peak recording
@@ -118,7 +118,7 @@ type Config struct {
 	// on the next visit — and < 0 caches nothing beyond the chunks
 	// currently checked out.
 	DecodedBudget int64
-	// ReadAhead, when > 0, overlaps spill I/O and BTR2 decode with
+	// ReadAhead, when > 0, overlaps spill I/O and BTR3 decode with
 	// predictor compute: every chain (sweep, warmup, and the attribution
 	// pre-pass) hints its next ReadAhead chunks to the decoded pool's
 	// background prefetcher, which decodes them — coalescing adjacent
@@ -359,7 +359,7 @@ func profileRecorded(spec workload.Spec, cfg Config) (*core.Profiler, *trace.Han
 }
 
 // streamRecord is the bounded-window pass 1: the generator's stream is
-// teed into the profiler and a StreamRecorder writing BTR2 directly —
+// teed into the profiler and a StreamRecorder writing BTR3 directly —
 // to the cache's spill path when one exists (so later processes probe
 // straight into it), else an anonymous temp file. ok is false when the
 // spill backing could not be set up; the caller falls back to

@@ -17,9 +17,9 @@ import (
 // Entries are recording Handles, so the cache bounds bytes, not
 // recordings: eviction releases a spill-backed handle's resident
 // columns while the handle itself — and every replay already paging
-// through it — stays valid, re-reading chunks from its BTR2 spill file
+// through it — stays valid, re-reading chunks from its BTR3 spill file
 // on demand. With a spill directory configured, stored traces are
-// written through as BTR2 spill files and transparently re-loaded on
+// written through as BTR3 spill files and transparently re-loaded on
 // the next Get — so a memory-constrained run degrades to disk instead of
 // regenerating, and a later process pointed at the same directory
 // starts warm. Spill filenames carry the workload-registry fingerprint
@@ -98,7 +98,7 @@ type cacheEntry struct {
 }
 
 // NewCache builds a cache bounded to maxBytes of resident trace columns
-// (<= 0 means unbounded). A non-empty spillDir enables the BTR2 spill
+// (<= 0 means unbounded). A non-empty spillDir enables the BTR3 spill
 // mode: stored traces are written through to the directory (created if
 // missing), evictions keep their file, and Get probes the directory
 // for recordings left by earlier processes.
@@ -138,9 +138,11 @@ func (c *Cache) handleFor(key CacheKey) (h *Handle, probed, ok bool) {
 		return nil, false, false
 	}
 	// Probe the spill dir: a previous process may have left the file;
-	// an open failure is simply a miss. A file the scan rejects as
-	// corrupt (torn BTR2 structure, bad trailer) is moved aside so the
-	// miss does not repeat the doomed scan on every later probe.
+	// an open failure is simply a miss, and so is a file an older build
+	// wrote in another format (ErrBadMagic) — the re-record lands over
+	// it at the same path. A file the scan rejects as corrupt (torn BTR3
+	// structure, bad trailer) is moved aside so the miss does not repeat
+	// the doomed scan on every later probe.
 	h, err := OpenSpillHandle(c.spillPath(key), key.ChunkEvents)
 	if err != nil {
 		if errors.Is(err, ErrCorruptSpill) {
@@ -302,10 +304,10 @@ func (c *Cache) putHandle(key CacheKey, h *Handle, offered *ChunkedTrace) error 
 		}
 		if spillErr == nil {
 			path := c.spillPath(key)
-			if err := writeSpill(path, offered); err != nil {
+			if idx, err := writeSpill(path, offered); err != nil {
 				spillErr = fmt.Errorf("trace: spilling %s: %w", key.Name, err)
 			} else {
-				h.attachSpill(path)
+				h.attachSpill(path, idx)
 				spilled = true
 			}
 		}

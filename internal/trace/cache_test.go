@@ -152,7 +152,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 }
 
-// TestCacheSpillRoundTrip pins the BTR1 spill mode: an evicted trace
+// TestCacheSpillRoundTrip pins the spill mode: an evicted trace
 // reloads from disk and replays bit-identically to the original.
 func TestCacheSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -323,7 +323,8 @@ func TestCacheFlush(t *testing.T) {
 }
 
 // TestChunkStatsSinkMatchesRecorder pins the O(1)-memory audit model
-// against the real recorder, including a partial final chunk.
+// against the real recorder, including a partial final chunk: the same
+// frames, counted as one mask byte per group of 8 events plus deltas.
 func TestChunkStatsSinkMatchesRecorder(t *testing.T) {
 	for _, n := range []int{0, 999, 2500} {
 		rec := NewChunkRecorder(1000)
@@ -337,8 +338,13 @@ func TestChunkStatsSinkMatchesRecorder(t *testing.T) {
 			rec.Branch(pc, taken)
 			sink.Branch(pc, taken)
 		}
-		if got, want := sink.Stats(), rec.Trace().MemStats(); got != want {
+		tr := rec.Trace()
+		got, want := sink.Stats(), tr.MemStats()
+		if got != want {
 			t.Fatalf("n=%d: sink stats %+v != recorder stats %+v", n, got, want)
+		}
+		if masks := int64(n/1000*125 + (n%1000+7)/8); got.MaskBytes != masks || got.EncodedBytes() != tr.SizeBytes() {
+			t.Fatalf("n=%d: stats %+v, want %d mask bytes and %d encoded bytes", n, got, masks, tr.SizeBytes())
 		}
 	}
 }

@@ -1,38 +1,24 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // In-memory recorded traces for the record-once/replay-many pipeline.
 //
-// A ChunkedTrace stores a branch stream as column-oriented chunks: each
-// chunk holds a direction bitmap (one bit per event) and a byte column of
-// zigzag-varint PC deltas — the same delta idiom as the BTR1 file format,
-// so the common event costs ~1.1 bytes plus a direction bit. Recording a
-// workload once and replaying the chunks is how the simulator drives many
-// predictor passes without re-running the generator per pass, and the
-// compact columns keep whole Table 1 inputs resident without trace files.
+// A ChunkedTrace stores a branch stream as BTR3 frames (codec.go): each
+// chunk holds its start PC, event count, group-encoded payload and
+// checksum — exactly what a spill file stores, so the common event
+// costs ~1.1 bytes plus a mask bit. Recording a workload once and
+// replaying the chunks is how the simulator drives many predictor
+// passes without re-running the generator per pass, and the compact
+// frames keep whole Table 1 inputs resident without trace files.
 
 // DefaultChunkEvents is the chunk granularity used when a recorder is
 // built with chunkEvents <= 0: big enough to amortise per-chunk overhead,
 // small enough that per-replayer decode buffers stay cache-friendly.
 const DefaultChunkEvents = 1 << 14
-
-// chunk is one column-oriented run of events.
-type chunk struct {
-	// startPC is the PC preceding the chunk's first event; deltas chain
-	// from it exactly as BTR1 deltas chain across groups.
-	startPC uint64
-	// deltas holds n zigzag-uvarint PC deltas, back to back.
-	deltas []byte
-	// dirs is the direction bitmap: event i's outcome is bit i&63 of
-	// word i>>6.
-	dirs []uint64
-	// n counts events in this chunk.
-	n int
-}
 
 // ChunkedTrace is a sealed in-memory trace. Build one with a ChunkRecorder;
 // replay it with NewReplayer (chunk-at-a-time columns, the fast path) or
@@ -44,32 +30,43 @@ type ChunkedTrace struct {
 	chunkEvents int
 }
 
+// add appends a copy of frame c.
+func (t *ChunkedTrace) add(c *chunk) {
+	kept := *c
+	kept.payload = slices.Clone(c.payload)
+	t.chunks = append(t.chunks, kept)
+	t.events += int64(c.n)
+}
+
 // Events returns the number of recorded events.
 func (t *ChunkedTrace) Events() int64 { return t.events }
 
 // Chunks returns the number of chunks.
 func (t *ChunkedTrace) Chunks() int { return len(t.chunks) }
 
-// SizeBytes returns the approximate heap footprint of the stored columns.
-func (t *ChunkedTrace) SizeBytes() int64 {
-	var n int64
-	for i := range t.chunks {
-		n += int64(len(t.chunks[i].deltas)) + int64(len(t.chunks[i].dirs))*8
-	}
-	return n
-}
+// SizeBytes returns the approximate heap footprint of the stored frames.
+func (t *ChunkedTrace) SizeBytes() int64 { return t.MemStats().EncodedBytes() }
 
-// ChunkStats summarises a ChunkedTrace's in-memory encoding, for trace
-// audits (brtrace) and cache accounting.
+// ChunkStats summarises a recording's frame encoding, for trace audits
+// (brtrace) and cache accounting.
 type ChunkStats struct {
 	Chunks     int   // sealed chunks
 	Events     int64 // recorded events
-	DeltaBytes int64 // zigzag-varint PC delta column bytes
-	DirBytes   int64 // direction bitmap bytes
+	DeltaBytes int64 // zigzag-varint PC delta bytes
+	MaskBytes  int64 // direction mask bytes, one per group of 8 events
 }
 
-// EncodedBytes is the total column footprint.
-func (s ChunkStats) EncodedBytes() int64 { return s.DeltaBytes + s.DirBytes }
+// add accounts for one frame.
+func (s *ChunkStats) add(c *chunk) {
+	masks := int64(c.n+groupSize-1) / groupSize
+	s.Chunks++
+	s.Events += int64(c.n)
+	s.MaskBytes += masks
+	s.DeltaBytes += int64(len(c.payload)) - masks
+}
+
+// EncodedBytes is the total payload footprint.
+func (s ChunkStats) EncodedBytes() int64 { return s.DeltaBytes + s.MaskBytes }
 
 // BytesPerEvent is the mean encoded cost of one event (0 when empty).
 func (s ChunkStats) BytesPerEvent() float64 {
@@ -81,68 +78,51 @@ func (s ChunkStats) BytesPerEvent() float64 {
 
 // String renders a one-line summary.
 func (s ChunkStats) String() string {
-	return fmt.Sprintf("chunks=%d events=%d encoded_bytes=%d (deltas=%d dirs=%d) bytes/event=%.2f",
-		s.Chunks, s.Events, s.EncodedBytes(), s.DeltaBytes, s.DirBytes, s.BytesPerEvent())
+	return fmt.Sprintf("chunks=%d events=%d encoded_bytes=%d (deltas=%d masks=%d) bytes/event=%.2f",
+		s.Chunks, s.Events, s.EncodedBytes(), s.DeltaBytes, s.MaskBytes, s.BytesPerEvent())
 }
 
 // MemStats reports the trace's in-memory encoding statistics.
 func (t *ChunkedTrace) MemStats() ChunkStats {
-	s := ChunkStats{Chunks: len(t.chunks), Events: t.events}
+	var s ChunkStats
 	for i := range t.chunks {
-		s.DeltaBytes += int64(len(t.chunks[i].deltas))
-		s.DirBytes += int64(len(t.chunks[i].dirs)) * 8
+		s.add(&t.chunks[i])
 	}
 	return s
 }
 
 // ChunkStatsSink measures what a ChunkRecorder would hold resident for
-// a stream — same chunking, same delta encoding — without retaining any
-// columns, so arbitrarily large traces can be audited in O(1) memory.
-// It implements Sink; read the result with Stats.
+// a stream — it is the same frame encoder with every payload discarded
+// once counted — so arbitrarily large traces audit in O(1) memory. It
+// implements Sink; read the result with Stats.
 type ChunkStatsSink struct {
-	chunkEvents int
-	lastPC      uint64
-	cur         int // events in the current (unfinished) chunk
-	s           ChunkStats
+	frameEncoder
+	s ChunkStats
 }
 
 // NewChunkStatsSink returns a sink modelling a recorder with the given
 // chunk granularity (<= 0 means DefaultChunkEvents).
 func NewChunkStatsSink(chunkEvents int) *ChunkStatsSink {
-	if chunkEvents <= 0 {
-		chunkEvents = DefaultChunkEvents
-	}
-	return &ChunkStatsSink{chunkEvents: chunkEvents}
+	s := &ChunkStatsSink{}
+	s.frameEncoder = newFrameEncoder(chunkEvents, s.s.add)
+	return s
 }
 
-// Branch accounts for one event.
-func (s *ChunkStatsSink) Branch(pc uint64, taken bool) {
-	if s.cur == 0 {
-		// A recorder allocates the full direction bitmap when a chunk
-		// opens, so a partial final chunk costs the same words.
-		s.s.Chunks++
-		s.s.DirBytes += int64((s.chunkEvents+63)/64) * 8
+// Stats returns the accumulated statistics, counting the open frame as
+// a recorder's Trace would seal it.
+func (s *ChunkStatsSink) Stats() ChunkStats {
+	st := s.s
+	if s.cur.n > 0 {
+		st.add(&s.cur)
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	s.s.DeltaBytes += int64(binary.PutUvarint(scratch[:], zigzag(int64(pc-s.lastPC))))
-	s.lastPC = pc
-	s.s.Events++
-	s.cur++
-	if s.cur == s.chunkEvents {
-		s.cur = 0
-	}
+	return st
 }
-
-// Stats returns the accumulated statistics.
-func (s *ChunkStatsSink) Stats() ChunkStats { return s.s }
 
 // ChunkRecorder is a Sink that records a stream into a ChunkedTrace.
 // It is single-writer; call Trace exactly once after the stream ends.
 type ChunkRecorder struct {
-	tr     ChunkedTrace
-	cur    chunk
-	lastPC uint64
-	sealed bool
+	frameEncoder
+	tr ChunkedTrace
 }
 
 var _ Sink = (*ChunkRecorder)(nil)
@@ -150,54 +130,17 @@ var _ Sink = (*ChunkRecorder)(nil)
 // NewChunkRecorder returns a recorder cutting chunks every chunkEvents
 // events (<= 0 means DefaultChunkEvents).
 func NewChunkRecorder(chunkEvents int) *ChunkRecorder {
-	if chunkEvents <= 0 {
-		chunkEvents = DefaultChunkEvents
-	}
-	return &ChunkRecorder{tr: ChunkedTrace{chunkEvents: chunkEvents}}
-}
-
-// Branch records one event.
-func (r *ChunkRecorder) Branch(pc uint64, taken bool) {
-	if r.sealed {
-		panic("trace: recording into a sealed ChunkRecorder")
-	}
-	if r.cur.dirs == nil {
-		r.cur.startPC = r.lastPC
-		r.cur.dirs = make([]uint64, (r.tr.chunkEvents+63)/64)
-		if r.cur.deltas == nil {
-			// Reserve for the common ~1.1 byte/event case; rare
-			// delta-heavy chunks just grow.
-			r.cur.deltas = make([]byte, 0, r.tr.chunkEvents+r.tr.chunkEvents/4)
-		}
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], zigzag(int64(pc-r.lastPC)))
-	r.cur.deltas = append(r.cur.deltas, scratch[:n]...)
-	if taken {
-		r.cur.dirs[r.cur.n>>6] |= 1 << (uint(r.cur.n) & 63)
-	}
-	r.cur.n++
-	r.lastPC = pc
-	if r.cur.n == r.tr.chunkEvents {
-		r.flush()
-	}
-}
-
-func (r *ChunkRecorder) flush() {
-	if r.cur.n == 0 {
-		return
-	}
-	r.tr.chunks = append(r.tr.chunks, r.cur)
-	r.tr.events += int64(r.cur.n)
-	r.cur = chunk{}
+	r := &ChunkRecorder{}
+	r.frameEncoder = newFrameEncoder(chunkEvents, r.tr.add)
+	r.tr.chunkEvents = r.chunkEvents
+	return r
 }
 
 // Trace seals the recorder (flushing any partial final chunk) and returns
 // the recorded trace. Further Branch calls panic.
 func (r *ChunkRecorder) Trace() *ChunkedTrace {
 	if !r.sealed {
-		r.flush()
-		r.sealed = true
+		r.close()
 	}
 	return &r.tr
 }
@@ -206,46 +149,31 @@ func (r *ChunkRecorder) Trace() *ChunkedTrace {
 // buffers. Each replayer owns its buffers, so independent goroutines can
 // replay the same trace concurrently with one decode each.
 type Replayer struct {
-	t   *ChunkedTrace
-	ci  int
-	pcs []uint64
+	t  *ChunkedTrace
+	ci int
+	d  DecodedChunk
 }
 
 // NewReplayer returns a replayer positioned at the first chunk.
 func (t *ChunkedTrace) NewReplayer() *Replayer {
-	return &Replayer{t: t, pcs: make([]uint64, t.chunkEvents)}
+	return &Replayer{t: t}
 }
 
 // NextChunk decodes the next chunk and returns its PC column, direction
 // bitmap (event i's outcome is bit i&63 of word i>>6), and event count.
-// ok is false once the trace is exhausted. The returned pcs slice is
-// owned by the replayer and overwritten by the next call; dirs aliases
-// the trace's immutable storage.
+// ok is false once the trace is exhausted. Both slices are owned by the
+// replayer and overwritten by the next call.
 func (r *Replayer) NextChunk() (pcs []uint64, dirs []uint64, n int, ok bool) {
 	if r.ci >= len(r.t.chunks) {
 		return nil, nil, 0, false
 	}
-	c := &r.t.chunks[r.ci]
-	r.ci++
-	c.decodeInto(r.pcs)
-	return r.pcs[:c.n], c.dirs, c.n, true
-}
-
-// decodeInto expands the chunk's delta column into pcs, which must hold
-// at least c.n entries. Chunks are immutable, so concurrent decodes into
-// distinct buffers are safe.
-func (c *chunk) decodeInto(pcs []uint64) {
-	pc := c.startPC
-	off := 0
-	for i := 0; i < c.n; i++ {
-		word, w := binary.Uvarint(c.deltas[off:])
-		if w <= 0 {
-			panic("trace: corrupt chunk delta column")
-		}
-		off += w
-		pc += uint64(unzigzag(word))
-		pcs[i] = pc
+	d, err := r.t.chunks[r.ci].decode(r.ci, r.d.PCs, r.d.Dirs)
+	if err != nil {
+		panic(err) // resident frames come from the encoder or a checked read
 	}
+	r.ci++
+	r.d = d
+	return d.PCs, d.Dirs, d.N, true
 }
 
 // Reset rewinds the replayer to the first chunk.
@@ -253,7 +181,11 @@ func (r *Replayer) Reset() { r.ci = 0 }
 
 // Replay drives every recorded event through sink, in order.
 func (t *ChunkedTrace) Replay(sink Sink) {
-	r := t.NewReplayer()
+	replayChunks(t.NewReplayer(), sink)
+}
+
+// replayChunks drives every event r yields through sink.
+func replayChunks(r ChunkReader, sink Sink) {
 	for {
 		pcs, dirs, n, ok := r.NextChunk()
 		if !ok {

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// recordSpill streams n synthetic events into a named BTR2 spill file
+// recordSpill streams n synthetic events into a named BTR3 spill file
 // through sio (nil = direct I/O) with nothing resident, so every later
 // DecodeChunk pages from disk.
 func recordSpill(t *testing.T, path string, n, chunkEvents int, seed uint64, sio SpillIO) *Handle {
@@ -55,8 +55,8 @@ func TestVerifySpillClean(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("clean file failed verify: %v", rep.Err)
 	}
-	if rep.Format != 2 {
-		t.Fatalf("Format = %d, want 2", rep.Format)
+	if rep.Format != 3 {
+		t.Fatalf("Format = %d, want 3", rep.Format)
 	}
 	if rep.Events != 1000 {
 		t.Fatalf("Events = %d, want 1000", rep.Events)

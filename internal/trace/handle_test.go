@@ -49,8 +49,9 @@ func chunkOf(tr *ChunkedTrace, k int) DecodedChunk {
 // TestStreamRecorderRoundTrip pins the out-of-core recording path: a
 // stream recorded straight to a spill file replays bit-identically,
 // pages chunks in random order correctly, and bounds its resident
-// prefix — across chunk sizes that do and do not align with the BTR1
-// 8-event groups (chunk boundaries mid-group exercise the skip logic).
+// prefix — across chunk sizes that do and do not fill whole 8-event
+// groups (a frame whose event count is not a multiple of 8 ends in a
+// short group).
 func TestStreamRecorderRoundTrip(t *testing.T) {
 	const n = 5000
 	events := syntheticEvents(n, 42)
@@ -103,7 +104,7 @@ func TestStreamRecorderRoundTrip(t *testing.T) {
 }
 
 // TestStreamRecorderNamedPath pins the durable mode: the recording
-// lands at the requested path as a valid BTR1 file a fresh handle (and
+// lands at the requested path as a valid BTR3 file a fresh handle (and
 // a plain reader) can open.
 func TestStreamRecorderNamedPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "rec.btr")
@@ -131,6 +132,19 @@ func TestStreamRecorderNamedPath(t *testing.T) {
 	}
 	if got := replayHandle(reopened); !reflect.DeepEqual(got, events) {
 		t.Fatal("reopened spill replay diverged")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Recorder
+	if _, err := Copy(&rec, r); err != nil || !reflect.DeepEqual(rec.Events, events) {
+		t.Fatalf("plain reader diverged (err %v)", err)
 	}
 	tr, err := reopened.Materialise()
 	if err != nil {

@@ -23,7 +23,7 @@ func TestCheckoutSingleFlight(t *testing.T) {
 				defer wg.Done()
 				<-start
 				d := p.Checkout(k)
-				if d.N != h.chunkLen(k) {
+				if d.N != chunkLen(h, k) {
 					panic("single-flight checkout observed wrong chunk")
 				}
 				p.Release(k)
@@ -120,8 +120,8 @@ func TestPrefetchBudgetBounded(t *testing.T) {
 			p.Prefetch(pf)
 		}
 		d := p.Checkout(k)
-		if d.N != h.chunkLen(k) {
-			t.Fatalf("chunk %d: n=%d want %d", k, d.N, h.chunkLen(k))
+		if d.N != chunkLen(h, k) {
+			t.Fatalf("chunk %d: n=%d want %d", k, d.N, chunkLen(h, k))
 		}
 		p.Release(k)
 	}
