@@ -98,31 +98,12 @@ func BenchmarkSuiteSweepStreaming(b *testing.B) {
 	benchSingleInput(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10})
 }
 
-// BenchmarkSuiteSweepStreamingReadAhead is BenchmarkSuiteSweepStreaming
-// with the read-ahead pipeline on: every sweep chain hints 4 chunks
-// ahead, so spill page-ins and BTR3 decode run on the prefetch workers
-// (coalesced into run-sized reads) instead of stalling the chains. The
-// delta to BenchmarkSuiteSweepStreaming is the recovered streaming tax;
-// the residual gap to BenchmarkSuiteSweep is what bounded memory still
-// costs.
-func BenchmarkSuiteSweepStreamingReadAhead(b *testing.B) {
-	benchSingleInput(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10, ReadAhead: 4})
-}
-
 // BenchmarkSingleInputStreaming is the streaming counterpart of
 // BenchmarkSingleInputSaturation: the same ~650k-event input with the
 // recording bounded to ~64 KiB resident (vs ~850 KiB encoded) and a
 // 1 MiB decoded pool (~8 of its ~40 decoded chunks).
 func BenchmarkSingleInputStreaming(b *testing.B) {
 	benchSingleInput(b, SimConfig{Scale: singleInputScale, MemBudget: 64 << 10, DecodedBudget: 1 << 20})
-}
-
-// BenchmarkSingleInputStreamingReadAhead is BenchmarkSingleInputStreaming
-// with 4 chunks of read-ahead per sweep chain: the saturation input's
-// ~40-chunk spill pages in through the prefetch workers ahead of the
-// cursors instead of one demand pread at a time.
-func BenchmarkSingleInputStreamingReadAhead(b *testing.B) {
-	benchSingleInput(b, SimConfig{Scale: singleInputScale, MemBudget: 64 << 10, DecodedBudget: 1 << 20, ReadAhead: 4})
 }
 
 // singleInputScale sizes the saturation benchmarks' one input at ~650k

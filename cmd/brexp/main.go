@@ -5,7 +5,7 @@
 //	brexp [-scale 1.0] [-workers N] [-out results] [-run all|T1,F13,...]
 //	      [-chunk N] [-cachedir dir]
 //	      [-membudget bytes] [-decodedbudget bytes]
-//	      [-snapshotranges N] [-readahead N]
+//	      [-snapshotranges N]
 //
 // Each experiment is written to <out>/<id>.txt; -list shows the catalog.
 package main
@@ -28,9 +28,8 @@ func main() {
 	workers := flag.Int("workers", 0, "scheduler workers (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "recorded-trace chunk size in events, which is also one sweep task's grain (0 = default)")
 	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR3 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
-	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decoded-chunk pool during the bank sweep; LRU columns past it are re-decoded on the next visit (0 = retain all decoded columns, negative = retain none)")
+	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decoded-chunk pool during the bank sweep; the pool keeps a transit band of a few chunks past it and LRU columns beyond that are re-decoded on the next visit, while the sweep convoys its chains so they share each decode (0 = retain all decoded columns)")
 	snapshotRanges := flag.Int("snapshotranges", 0, "split every bank slot's sweep into this many checkpointed chunk ranges that run concurrently from restored predictor snapshots; breaks the 34-slot parallelism ceiling when cores outnumber slots (0 or 1 = one range per slot, the default; results are bit-identical either way)")
-	readAhead := flag.Int("readahead", 0, "prefetch this many chunks ahead of every sweep cursor: spill paging and BTR3 decode overlap with predictor compute, with prefetched columns charged against -decodedbudget (0 = no read-ahead; results are bit-identical either way)")
 	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR3 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	out := flag.String("out", "results", "output directory")
 	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
@@ -57,6 +56,9 @@ func main() {
 			}
 		}
 	}
+	if *decodedBudget < 0 {
+		fatal(fmt.Errorf("-decodedbudget %d is negative", *decodedBudget))
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
@@ -68,7 +70,6 @@ func main() {
 		MemBudget:      *memBudget,
 		DecodedBudget:  *decodedBudget,
 		SnapshotRanges: *snapshotRanges,
-		ReadAhead:      *readAhead,
 	}
 	if *cachedir != "" {
 		// Under a memory budget the cache's resident columns are bounded
@@ -138,9 +139,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
 	}
 	if m := suite.Mem; m.RecordedBytes > 0 {
-		fmt.Printf("mem: recorded_bytes=%d resident_peak=%d page_ins=%d pool_hits=%d redecodes=%d pool_evicted=%d decoded_peak=%d prefetch_hits=%d prefetch_wasted=%d prefetch_inflight_peak=%d\n",
-			m.RecordedBytes, m.ResidentPeak, m.PageIns, m.DecodedHits, m.DecodedRedecodes, m.DecodedEvicted, m.DecodedPeak,
-			m.PrefetchHits, m.PrefetchWasted, m.PrefetchInFlightPeak)
+		fmt.Printf("mem: recorded_bytes=%d resident_peak=%d page_ins=%d pool_hits=%d redecodes=%d pool_evicted=%d decoded_peak=%d\n",
+			m.RecordedBytes, m.ResidentPeak, m.PageIns, m.DecodedHits, m.DecodedRedecodes, m.DecodedEvicted, m.DecodedPeak)
 		if m.SnapshotCount > 0 {
 			fmt.Printf("snapshots: count=%d bytes=%d peak=%d\n",
 				m.SnapshotCount, m.SnapshotBytes, m.SnapshotPeak)

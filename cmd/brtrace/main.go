@@ -44,7 +44,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	out := flag.String("o", "", "output trace file (BTR1 binary; with -membudget, a BTR3 spill file)")
 	memBudget := flag.Int64("membudget", 0, "record through the streaming recorder with at most about this many resident bytes, then audit-replay the spill (0 = buffer in memory as before)")
-	readAhead := flag.Int("readahead", 0, "during the -membudget audit replay, prefetch this many chunks ahead of the cursor so spill paging overlaps the replay (0 = demand paging)")
 	info := flag.String("info", "", "summarise an existing trace file")
 	text := flag.String("text", "", "dump an existing trace file as text")
 	verify := flag.String("verify", "", "audit a spill file, or every *.btr under a directory; exits nonzero if any file fails")
@@ -119,18 +118,14 @@ func main() {
 		fmt.Printf("stream: chunks=%d encoded_bytes=%d resident_peak=%d\n",
 			h.Chunks(), h.EncodedBytes(), h.ResidentPeak())
 		pool := trace.NewDecodedPool(h, *memBudget)
-		if *readAhead > 0 {
-			pool.EnablePrefetch(0, 0)
-		}
-		for r := pool.Reader(*readAhead); ; {
+		for r := pool.Reader(); ; {
 			if _, _, _, ok := r.NextChunk(); !ok {
 				break
 			}
 		}
-		pool.ClosePrefetch()
 		ps := pool.Stats()
-		fmt.Printf("replay: page_ins=%d decodes=%d decoded_high_water=%d prefetch_hits=%d prefetch_wasted=%d\n",
-			h.PageIns(), ps.Decodes, ps.HighWater, ps.PrefetchHits, ps.PrefetchWasted)
+		fmt.Printf("replay: page_ins=%d decodes=%d decoded_high_water=%d\n",
+			h.PageIns(), ps.Decodes, ps.HighWater)
 	case *bench != "" && *input != "" && *out != "":
 		spec, err := btr.FindWorkload(*bench, *input)
 		if err != nil {

@@ -98,6 +98,11 @@ func (g *Group) wrap(t Task) Task {
 // clears the record, so a recovered caller can keep using the
 // scheduler). The scheduler itself keeps running; other groups are
 // unaffected.
+//
+// Scheduler stats may trail Wait by the finishing task: the group's
+// count drops inside the task's wrapper, while the scheduler's Pending
+// count drops only after the wrapper returns, so Stats().Pending can
+// still read 1 just after Wait returns.
 func (g *Group) Wait() {
 	g.mu.Lock()
 	for g.pending.Load() > 0 {

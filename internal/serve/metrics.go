@@ -66,12 +66,15 @@ type MemMetrics struct {
 	DecodedRedecodes int64 `json:"decoded_redecodes"`
 	DecodedEvicted   int64 `json:"decoded_evicted"`
 	DecodedPeak      int64 `json:"decoded_peak"`
-	PrefetchHits     int64 `json:"prefetch_hits"`
-	PrefetchWasted   int64 `json:"prefetch_wasted"`
-	PrefetchInFlight int64 `json:"prefetch_in_flight_peak"`
-	SnapshotCount    int64 `json:"snapshot_count"`
-	SnapshotBytes    int64 `json:"snapshot_bytes"`
-	SnapshotPeak     int64 `json:"snapshot_peak"`
+	// PrefetchHits and PrefetchWasted are always zero and never encoded.
+	//
+	// Deprecated: they mirrored the decoded pool's prefetcher, which is
+	// gone. They stay so readers of the old fields keep compiling.
+	PrefetchHits   int64 `json:"prefetch_hits,omitempty"`
+	PrefetchWasted int64 `json:"prefetch_wasted,omitempty"`
+	SnapshotCount  int64 `json:"snapshot_count"`
+	SnapshotBytes  int64 `json:"snapshot_bytes"`
+	SnapshotPeak   int64 `json:"snapshot_peak"`
 }
 
 func traceCacheMetrics(s trace.CacheStats) TraceCacheMetrics {
@@ -107,9 +110,6 @@ func memMetrics(m sim.MemStats) MemMetrics {
 		DecodedRedecodes: m.DecodedRedecodes,
 		DecodedEvicted:   m.DecodedEvicted,
 		DecodedPeak:      m.DecodedPeak,
-		PrefetchHits:     m.PrefetchHits,
-		PrefetchWasted:   m.PrefetchWasted,
-		PrefetchInFlight: m.PrefetchInFlightPeak,
 		SnapshotCount:    m.SnapshotCount,
 		SnapshotBytes:    m.SnapshotBytes,
 		SnapshotPeak:     m.SnapshotPeak,

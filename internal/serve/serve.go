@@ -108,6 +108,11 @@ func (c Config) maxDecodedBudget() int64 {
 	return c.MaxDecodedBudget
 }
 
+// maxWindow caps a request's Figure 15 bin count: the window sizes a
+// histogram per input and per benchmark, so it must not be the client's
+// to choose without bound.
+const maxWindow = 1024
+
 // Request is one experiment request. Every field is optional: the zero
 // request renders every experiment over the full Table 1 suite at
 // scale 1 with default budgets.
@@ -123,12 +128,17 @@ type Request struct {
 	// (sim.Config.MemBudget / DecodedBudget).
 	MemBudget     int64 `json:"membudget,omitempty"`
 	DecodedBudget int64 `json:"decodedbudget,omitempty"`
-	// SnapshotRanges / ReadAhead tune the sweep exactly like the brexp
-	// flags of the same names (both result-invisible); Window is the
-	// Figure 15 bin count (sim.Config.HardDistanceWindow).
+	// SnapshotRanges tunes the sweep exactly like the brexp flag of the
+	// same name (result-invisible); Window is the Figure 15 bin count
+	// (sim.Config.HardDistanceWindow), 0 = 8, at most 1024.
 	SnapshotRanges int `json:"snapshotranges,omitempty"`
-	ReadAhead      int `json:"readahead,omitempty"`
 	Window         int `json:"window,omitempty"`
+	// ReadAhead is ignored.
+	//
+	// Deprecated: the decoded pool's prefetcher is gone and a budgeted
+	// sweep always convoys. The field stays so bodies and callers that
+	// still set it keep working.
+	ReadAhead int `json:"readahead,omitempty"`
 	// DeadlineMS bounds this request's wall-clock time in milliseconds;
 	// past it the run is canceled and the stream ends with a "canceled"
 	// record. 0 inherits the server's default deadline (which may be
@@ -322,9 +332,17 @@ func (s *Server) resolve(req *Request) (ids []string, specs []workload.Spec, cfg
 		return nil, nil, cfg, &rejection{http.StatusTooManyRequests,
 			ErrorResponse{Error: fmt.Sprintf("membudget %d exceeds the per-request limit %d", req.MemBudget, s.cfg.maxMemBudget())}}
 	}
+	if req.DecodedBudget < 0 {
+		return nil, nil, cfg, &rejection{http.StatusBadRequest,
+			ErrorResponse{Error: fmt.Sprintf("decodedbudget %d is negative", req.DecodedBudget)}}
+	}
 	if req.DecodedBudget > s.cfg.maxDecodedBudget() {
 		return nil, nil, cfg, &rejection{http.StatusTooManyRequests,
 			ErrorResponse{Error: fmt.Sprintf("decodedbudget %d exceeds the per-request limit %d", req.DecodedBudget, s.cfg.maxDecodedBudget())}}
+	}
+	if req.Window < 0 || req.Window > maxWindow {
+		return nil, nil, cfg, &rejection{http.StatusBadRequest,
+			ErrorResponse{Error: fmt.Sprintf("window %d is outside [0, %d]", req.Window, maxWindow)}}
 	}
 	if req.DeadlineMS < 0 {
 		return nil, nil, cfg, &rejection{http.StatusBadRequest,
@@ -336,7 +354,6 @@ func (s *Server) resolve(req *Request) (ids []string, specs []workload.Spec, cfg
 		MemBudget:          req.MemBudget,
 		DecodedBudget:      req.DecodedBudget,
 		SnapshotRanges:     req.SnapshotRanges,
-		ReadAhead:          req.ReadAhead,
 		Sched:              s.sched,
 	}
 	return ids, specs, cfg, nil

@@ -133,11 +133,12 @@ func TestStreamBitIdenticalToBrexp(t *testing.T) {
 }
 
 // TestRetiredRequestFieldsIgnored: a body written for an older server,
-// carrying a sweep knob that no longer exists ("chunktasks"), still
-// runs and streams the same artifact as the equivalent current body.
+// carrying sweep knobs that no longer do anything ("chunktasks",
+// "readahead"), still runs and streams the same artifact as the
+// equivalent current body.
 func TestRetiredRequestFieldsIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := `{"experiments":["T1"],"specs":["perl/primes.pl"],"scale":0.02,"chunktasks":-1}`
+	body := `{"experiments":["T1"],"specs":["perl/primes.pl"],"scale":0.02,"chunktasks":-1,"readahead":4}`
 	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +283,27 @@ func TestPerRequestLimits(t *testing.T) {
 	}
 	if code, e := do(Request{Experiments: []string{"Z9"}}); code != http.StatusBadRequest || e.ID != "Z9" {
 		t.Fatalf("unknown experiment: status %d body %+v, want structured 400", code, e)
+	}
+}
+
+// TestRequestBoundsRejected: negative budgets and a Figure 15 window
+// outside [0, maxWindow] are malformed requests (400), not work; the
+// largest window is accepted.
+func TestRequestBoundsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for name, req := range map[string]Request{
+		"membudget":     {MemBudget: -1},
+		"decodedbudget": {DecodedBudget: -1},
+		"window<0":      {Window: -1},
+		"window>cap":    {Window: maxWindow + 1},
+	} {
+		if code, _ := post(t, ts.URL, req); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, code)
+		}
+	}
+	_, _, cfg, rej := s.resolve(&Request{Window: maxWindow})
+	if rej != nil || cfg.HardDistanceWindow != maxWindow {
+		t.Fatalf("window %d: rejection %+v, config window %d", maxWindow, rej, cfg.HardDistanceWindow)
 	}
 }
 

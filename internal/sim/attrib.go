@@ -6,6 +6,7 @@ import (
 	"btr/internal/core"
 	"btr/internal/sched"
 	"btr/internal/stats"
+	"btr/internal/trace"
 	"btr/internal/workload"
 )
 
@@ -28,6 +29,7 @@ import (
 // cache entry, and launches the bank sweep on the shared pool.
 type attribGrid struct {
 	gridGuard
+	pool     *trace.DecodedPool
 	cfg      Config
 	spec     workload.Spec
 	res      *InputResult
@@ -63,7 +65,8 @@ func newAttribGrid(cfg Config, spec workload.Spec, res *InputResult, workers int
 		ranges = (nchunks + stride - 1) / stride
 	}
 	g := &attribGrid{
-		gridGuard: gridGuard{pool: cfg.newDecodedPool(res.Recorded), errOut: errOut},
+		gridGuard: gridGuard{errOut: errOut},
+		pool:      trace.NewDecodedPool(res.Recorded, cfg.DecodedBudget),
 		cfg:       cfg,
 		spec:      spec,
 		res:       res,
@@ -107,10 +110,7 @@ func (g *attribGrid) runPart(w *sched.Worker, r int) {
 	if end > nchunks || end < 0 {
 		end = nchunks
 	}
-	pf := r*g.stride + 1
 	for k := r * g.stride; k < end; k++ {
-		// Ranges are disjoint, so hints stop at the range boundary.
-		prefetchWindow(g.pool, g.cfg.ReadAhead, &pf, k, end)
 		d := g.pool.Checkout(k)
 		for i := 0; i < d.N; i++ {
 			ci := g.lookup.classOf(d.PCs[i], g.res.Classes)

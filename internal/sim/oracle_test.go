@@ -134,8 +134,8 @@ func atTestScale(spec workload.Spec) workload.Spec {
 // draws pick a spec subset (registry workloads plus the crafted
 // alternator and hard-pair streams), a chunk size, a worker count, a
 // range count per bank slot and a memory shape — fully retained, or
-// spilled past a small resident budget with a bounded decoded pool,
-// with and without read-ahead — and RunSuite must reproduce the oracle
+// spilled past a small resident budget with a bounded decoded pool —
+// and RunSuite must reproduce the oracle
 // bit for bit on every draw. Across draws that pins chunk-size, worker
 // and range-count invariance; within a draw, split legs must have
 // checkpointed every range boundary and spilled legs must have paged.
@@ -164,11 +164,9 @@ func TestSuiteMatchesOracle(t *testing.T) {
 		name    string
 		mem     int64 // Config.MemBudget
 		decoded int64 // Config.DecodedBudget
-		ra      int   // Config.ReadAhead
 	}{
-		{"retained", 0, 0, 0},
-		{"spill+pool", 4096, 6000, 0},
-		{"spill+pool+ra4", 4096, 20000, 4},
+		{"retained", 0, 0},
+		{"spill+pool", 4096, 6000},
 	}
 
 	const draws = 24
@@ -198,7 +196,6 @@ func TestSuiteMatchesOracle(t *testing.T) {
 		cfg.SnapshotRanges = ranges
 		cfg.MemBudget = shape.mem
 		cfg.DecodedBudget = shape.decoded
-		cfg.ReadAhead = shape.ra
 		var names []string
 		want := make([]*InputResult, len(specs))
 		for i, spec := range specs {
@@ -232,7 +229,7 @@ func TestSuiteMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, key := range []string{"chunk64", "chunk256", "chunk0", "workers1", "workers2", "workers4",
-		"ranges0", "ranges2", "ranges5", fmt.Sprint("ranges", allRanges), "retained", "spill+pool", "spill+pool+ra4"} {
+		"ranges0", "ranges2", "ranges5", fmt.Sprint("ranges", allRanges), "retained", "spill+pool"} {
 		if !seen[key] {
 			t.Errorf("no draw covered %s; reseed or add draws", key)
 		}

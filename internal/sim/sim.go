@@ -113,32 +113,19 @@ type Config struct {
 	Sched *sched.Scheduler
 	// DecodedBudget bounds the decoded-chunk pool the sweep checks
 	// chunks out of: 0 retains every decoded column for the duration of
-	// the input's sweep, > 0 is a byte budget — checked-out chunks are
-	// pinned, LRU columns beyond the budget are dropped and re-decoded
-	// on the next visit — and < 0 caches nothing beyond the chunks
-	// currently checked out.
+	// the input's sweep; > 0 is a byte budget plus a transit band of a
+	// few chunks (see trace.DecodedPool) — checked-out chunks are pinned,
+	// LRU columns beyond budget + band are dropped and re-decoded on the
+	// next visit. A budgeted sweep convoys its chains (breadth-first
+	// continuations), so the 34 slots pass each chunk while it is still
+	// in the band. Negative values are invalid: the run panics.
 	DecodedBudget int64
-	// ReadAhead, when > 0, overlaps spill I/O and BTR3 decode with
-	// predictor compute: every chain (sweep, warmup, and the attribution
-	// pre-pass) hints its next ReadAhead chunks to the decoded pool's
-	// background prefetcher, which decodes them — coalescing adjacent
-	// spill reads into one ReadAt — before the chain's cursor arrives.
-	// Prefetched columns are charged against DecodedBudget and evicted
-	// LRU like any other, so peak decoded memory stays O(budget).
-	// Cache-nothing pools (DecodedBudget < 0) ignore it.
+	// ReadAhead is ignored.
+	//
+	// Deprecated: the decoded pool's background prefetcher is gone and a
+	// budgeted sweep always convoys. The field stays so callers that
+	// still set it keep compiling.
 	ReadAhead int
-}
-
-// newDecodedPool builds a sweep's decoded-chunk pool over h, attaching
-// the background prefetcher when ReadAhead asks for one. Pools built
-// here are shut down by the sweep's publish, or by the owning grid's
-// poison path on failure.
-func (c Config) newDecodedPool(h *trace.Handle) *trace.DecodedPool {
-	p := trace.NewDecodedPool(h, c.DecodedBudget)
-	if c.ReadAhead > 0 {
-		p.EnablePrefetch(0, 0)
-	}
-	return p
 }
 
 // cacheKey is the recording's identity for Config.Cache and
@@ -261,14 +248,12 @@ type MemStats struct {
 	DecodedRedecodes int64
 	DecodedEvicted   int64
 	DecodedPeak      int64
-	// PrefetchHits / PrefetchWasted / PrefetchInFlightPeak describe the
-	// read-ahead pipeline (Config.ReadAhead): checkouts served by a
-	// prefetched column, prefetched columns evicted before any checkout
-	// touched them, and the high-water mark of concurrent decodes —
-	// the overlap depth actually achieved. Zero without read-ahead.
-	PrefetchHits         int64
-	PrefetchWasted       int64
-	PrefetchInFlightPeak int64
+	// PrefetchHits and PrefetchWasted are always zero.
+	//
+	// Deprecated: they counted the decoded pool's prefetcher, which is
+	// gone. They stay so readers of the old counters keep compiling.
+	PrefetchHits   int64
+	PrefetchWasted int64
 	// SnapshotCount / SnapshotBytes / SnapshotPeak describe the
 	// checkpointed sweep's predictor snapshots (Config.SnapshotRanges):
 	// how many were taken, their cumulative size, and the high-water
@@ -287,13 +272,8 @@ func (m *MemStats) Add(other *MemStats) {
 	m.DecodedHits += other.DecodedHits
 	m.DecodedRedecodes += other.DecodedRedecodes
 	m.DecodedEvicted += other.DecodedEvicted
-	m.PrefetchHits += other.PrefetchHits
-	m.PrefetchWasted += other.PrefetchWasted
 	m.SnapshotCount += other.SnapshotCount
 	m.SnapshotBytes += other.SnapshotBytes
-	if other.PrefetchInFlightPeak > m.PrefetchInFlightPeak {
-		m.PrefetchInFlightPeak = other.PrefetchInFlightPeak
-	}
 	if other.ResidentPeak > m.ResidentPeak {
 		m.ResidentPeak = other.ResidentPeak
 	}

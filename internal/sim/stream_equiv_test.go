@@ -11,8 +11,8 @@ import (
 
 // TestStreamedMatrixMatchesRetained is the golden equivalence matrix
 // for the out-of-core streaming pipeline: {retained, spill-backed with
-// small budgets, cache-nothing decoded pool} × workers {1, 4,
-// GOMAXPROCS} must all produce bit-identical SuiteResults. A small
+// small budgets, a decoded pool budgeted below one chunk} × workers
+// {1, 4, GOMAXPROCS} must all produce bit-identical SuiteResults. A small
 // ChunkEvents forces many chunks at test scale so the budgets genuinely
 // evict, page and re-decode; the memory-shape counters are asserted to
 // prove the streamed runs actually ran out of core rather than
@@ -39,19 +39,11 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 		mem     int64 // Config.MemBudget
 		decoded int64 // Config.DecodedBudget
 		ranges  int   // Config.SnapshotRanges
-		ra      int   // Config.ReadAhead
 	}{
-		{"spill+pool", 4096, 6000, 0, 0},
-		{"spill+cache-nothing", 4096, -1, 0, 0},
-		{"resident+pool", 0, 6000, 0, 0},
-		{"spill+pool+snapshot", 4096, 6000, 3, 0},
-		// Read-ahead legs get a pool that can hold the windows (still
-		// well under the decoded whole, so eviction stays exercised):
-		// prefetching into a pool drowning in demand churn is all waste.
-		{"spill+pool+ra2", 4096, 20000, 0, 2},
-		{"spill+pool+ra8", 4096, 20000, 0, 8},
-		{"spill+pool+snapshot+ra", 4096, 20000, 3, 4},
-		{"resident+pool+ra", 0, 20000, 0, 2},
+		{"spill+pool", 4096, 6000, 0},
+		{"spill+subchunk-pool", 4096, 1000, 0}, // one 256-event chunk decodes to 2,080 bytes
+		{"resident+pool", 0, 6000, 0},
+		{"spill+pool+snapshot", 4096, 6000, 3},
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, b := range budgets {
@@ -60,7 +52,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 			cfg.MemBudget = b.mem
 			cfg.DecodedBudget = b.decoded
 			cfg.SnapshotRanges = b.ranges
-			cfg.ReadAhead = b.ra
 			label := fmt.Sprintf("%s/workers=%d", b.name, workers)
 			got := RunSuite(specs, cfg)
 			assertSuitesEqual(t, label, retained, got)
@@ -85,22 +76,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 				}
 			} else if m.SnapshotCount != 0 {
 				t.Fatalf("%s: single-range run took snapshots (mem %+v)", label, m)
-			}
-			if b.ra > 0 {
-				if m.PrefetchInFlightPeak == 0 {
-					t.Fatalf("%s: read-ahead run recorded no in-flight decodes (mem %+v)", label, m)
-				}
-				// Spill-backed legs must actually have prefetched: warm
-				// installs (and waits on in-flight prefetch decodes) count
-				// as prefetch hits. Demand page-ins block in ReadAt, which
-				// hands the prefetch workers the CPU even at GOMAXPROCS=1;
-				// fully-resident legs give no such guarantee on one core,
-				// so only bit-identity is asserted for them.
-				if b.mem > 0 && m.PrefetchHits == 0 {
-					t.Fatalf("%s: read-ahead run recorded no prefetch hits (mem %+v)", label, m)
-				}
-			} else if m.PrefetchHits != 0 || m.PrefetchWasted != 0 {
-				t.Fatalf("%s: non-read-ahead run recorded prefetch traffic (mem %+v)", label, m)
 			}
 		}
 	}
@@ -174,5 +149,30 @@ func TestProfileCacheEviction(t *testing.T) {
 	RunInput(spec1, cfg2)
 	if s := roomy.Stats(); s.Hits == 0 || s.Evicted != 0 || s.Resident != 1 {
 		t.Fatalf("roomy cache stats %+v: want a hit, no evictions", s)
+	}
+}
+
+// TestBudgetedSweepConvoys pins the convoy: with a decoded budget below
+// one chunk, the 34 bank chains must still share each decode. The
+// sweep runs its chains breadth-first whenever the pool evicts, so
+// every chain passes a chunk while it sits in the pool's transit band,
+// and each chunk is re-decoded about once after the attribution pass —
+// not once per chain. One worker makes the schedule deterministic; with
+// more, an OS-preempted worker can strand its chain behind the band.
+func TestBudgetedSweepConvoys(t *testing.T) {
+	specs := []workload.Spec{
+		testSpec(t, "gcc", "genoutput.i"),
+		testSpec(t, "li", "ref.lsp"),
+	}
+	cfg := Config{Scale: testScale, ChunkEvents: 256, MemBudget: 4096, DecodedBudget: 1000, Workers: 1}
+	for _, r := range RunSuite(specs, cfg).Inputs {
+		chunks := int64(r.Recorded.Chunks())
+		if chunks < 8 {
+			t.Fatalf("%s: %d chunks, too few to tell a convoy from a chain march", r.Spec.Name(), chunks)
+		}
+		if m := r.Mem; m.DecodedRedecodes >= 2*chunks {
+			t.Fatalf("%s: %d re-decodes over %d chunks, want < %d (mem %+v)",
+				r.Spec.Name(), m.DecodedRedecodes, chunks, 2*chunks, m)
+		}
 	}
 }

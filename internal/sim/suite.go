@@ -181,7 +181,7 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, o
 	}
 	if res, classIdx, ok := profileCached(spec, cfg); ok {
 		// Cached profile: no generator, no attribution — straight to sweep.
-		startSweep(w, cfg, res, classIdx, cfg.newDecodedPool(res.Recorded), out, errOut)
+		startSweep(w, cfg, res, classIdx, trace.NewDecodedPool(res.Recorded, cfg.DecodedBudget), out, errOut)
 		return
 	}
 	var res *InputResult

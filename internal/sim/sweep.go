@@ -45,19 +45,15 @@ type slotPredictor interface {
 // boundary, the grid never publishes, and the input is reported via
 // SuiteResult.Dropped.
 type gridGuard struct {
-	pool   *trace.DecodedPool
 	failed atomic.Bool
 	errOut *error
 }
 
 // poison records err as the grid's failure cause unless one is already
-// recorded, and stops the pool's prefetch workers: a poisoned grid
-// never publishes, which is where they are stopped otherwise.
+// recorded.
 func (g *gridGuard) poison(err error) {
 	if g.failed.CompareAndSwap(false, true) {
 		*g.errOut = err
-		g.pool.CancelPrefetch()
-		g.pool.ClosePrefetch()
 	}
 }
 
@@ -82,31 +78,16 @@ func (g *gridGuard) bail(w *sched.Worker) bool {
 	return false
 }
 
-// prefetchWindow hints the chunks (k, min(k+1+ra, end)) that *pf has
-// not passed yet, advancing it. Each chain keeps a private cursor, so
-// a chain hints every chunk at most once.
-func prefetchWindow(pool *trace.DecodedPool, ra int, pf *int, k, end int) {
-	if ra <= 0 {
-		return
-	}
-	hi := min(k+1+ra, end)
-	if *pf <= k {
-		*pf = k + 1
-	}
-	for ; *pf < hi; *pf++ {
-		pool.Prefetch(*pf)
-	}
-}
-
 // sweepGrid is one input's in-flight bank sweep. pending counts the
 // sweep chains not yet finished (preset before any submission); warmup
 // chains gate their ranges' heads, so a poisoned warmup leaves pending
 // above zero and the input unpublished.
 type sweepGrid struct {
 	gridGuard
+	pool     *trace.DecodedPool
+	convoy   bool // the pool evicts (DecodedBudget > 0): continue chains FIFO
 	res      *InputResult
 	classIdx []uint8
-	ra       int   // read-ahead depth (Config.ReadAhead); 0 = no hints
 	bounds   []int // range r covers chunks [bounds[r], bounds[r+1])
 	chains   []sweepChain
 	warm     []sweepChain // one per slot; empty with a single range
@@ -131,7 +112,6 @@ type sweepChain struct {
 	p    slotPredictor
 	next int    // next chunk to visit
 	end  int    // one past the chain's last chunk
-	pf   int    // first chunk not yet hinted to the prefetcher
 	snap []byte // range > 0: the boundary checkpoint, dropped once restored
 	cell missCell
 }
@@ -144,10 +124,11 @@ type sweepChain struct {
 func startSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) {
 	nchunks := res.Recorded.Chunks()
 	g := &sweepGrid{
-		gridGuard: gridGuard{pool: pool, errOut: errOut},
+		gridGuard: gridGuard{errOut: errOut},
+		pool:      pool,
+		convoy:    cfg.DecodedBudget > 0,
 		res:       res,
 		classIdx:  classIdx,
-		ra:        cfg.ReadAhead,
 		bounds:    snapshotBounds(nchunks, cfg.SnapshotRanges),
 		out:       out,
 	}
@@ -193,7 +174,6 @@ func (g *sweepGrid) step(w *sched.Worker, c *sweepChain) {
 		}
 	}
 	k := c.next
-	prefetchWindow(g.pool, g.ra, &c.pf, k, c.end)
 	d := g.pool.Checkout(k)
 	if c.warm {
 		c.p.UpdateChunk(d.PCs, d.Dirs, d.N)
@@ -211,10 +191,10 @@ func (g *sweepGrid) step(w *sched.Worker, c *sweepChain) {
 		g.checkpoint(w, c)
 	}
 	switch {
-	case c.next < c.end && !c.warm && g.ra > 0:
-		// Read-ahead convoys the sweep chains: breadth-first
+	case c.next < c.end && !c.warm && g.convoy:
+		// An evicting pool convoys the sweep chains: breadth-first
 		// continuations keep every slot's cursor clustered, so a chunk
-		// decoded (or prefetched) for one chain is still resident when
+		// decoded for one chain is still in the pool's transit band when
 		// the other chains arrive, instead of each chain re-paying the
 		// decode on its own depth-first march.
 		w.SubmitFair(func(w *sched.Worker) { g.step(w, c) })
@@ -252,31 +232,25 @@ func (g *sweepGrid) checkpoint(w *sched.Worker, c *sweepChain) {
 
 // publish folds the chains' cells into res.Miss in (slot, range) order
 // — int64 sums, so any order would be bit-identical anyway — records
-// the input's memory-shape counters and hands the result out. The
-// pool's prefetcher is stopped first, so every prefetch install is
-// accounted before the stats are read.
+// the input's memory-shape counters and hands the result out.
 func (g *sweepGrid) publish() {
 	flat := make([]missCell, numBankSlots)
 	for i := range g.chains {
 		addCell(&flat[g.chains[i].slot], &g.chains[i].cell)
 	}
 	foldMisses(g.res, flat)
-	g.pool.ClosePrefetch()
 	h, s := g.res.Recorded, g.pool.Stats()
 	g.res.Mem = MemStats{
-		RecordedBytes:        h.EncodedBytes(),
-		ResidentPeak:         h.ResidentPeak(),
-		PageIns:              h.PageIns(),
-		DecodedHits:          s.Hits,
-		DecodedRedecodes:     s.Redecodes,
-		DecodedEvicted:       s.Evicted,
-		DecodedPeak:          s.HighWater,
-		PrefetchHits:         s.PrefetchHits,
-		PrefetchWasted:       s.PrefetchWasted,
-		PrefetchInFlightPeak: s.InFlightPeak,
-		SnapshotCount:        g.snapCount.Load(),
-		SnapshotBytes:        g.snapTotal.Load(),
-		SnapshotPeak:         g.snapPeak.Load(),
+		RecordedBytes:    h.EncodedBytes(),
+		ResidentPeak:     h.ResidentPeak(),
+		PageIns:          h.PageIns(),
+		DecodedHits:      s.Hits,
+		DecodedRedecodes: s.Redecodes,
+		DecodedEvicted:   s.Evicted,
+		DecodedPeak:      s.HighWater,
+		SnapshotCount:    g.snapCount.Load(),
+		SnapshotBytes:    g.snapTotal.Load(),
+		SnapshotPeak:     g.snapPeak.Load(),
 	}
 	*g.out = g.res
 }

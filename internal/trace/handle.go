@@ -282,68 +282,45 @@ func (h *Handle) DecodeChunkInto(k int, pcs, dirs []uint64) (DecodedChunk, error
 	if k < 0 || k >= h.nchunks {
 		return DecodedChunk{}, fmt.Errorf("trace: chunk %d out of range [0,%d)", k, h.nchunks)
 	}
-	var d [1]DecodedChunk
-	err := h.decodeRun(k, d[:], pcs, dirs)
-	return d[0], err
-}
-
-// DecodeChunkRun decodes the n consecutive chunks starting at k0 into
-// fresh columns. Resident chunks decode from memory; the rest are paged
-// with a single ReadAt covering their whole byte span. It exists for
-// the decoded pool's prefetcher, which batches adjacent read-ahead
-// hints.
-func (h *Handle) DecodeChunkRun(k0, n int) ([]DecodedChunk, error) {
-	if n <= 0 || k0 < 0 || k0+n > h.nchunks {
-		return nil, fmt.Errorf("trace: chunk run [%d,%d) out of range [0,%d)", k0, k0+n, h.nchunks)
-	}
-	out := make([]DecodedChunk, n)
-	if err := h.decodeRun(k0, out, nil, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeRun decodes the len(out) chunks starting at k0 into out, into
-// pcs and dirs when they are large enough (so runs of more than one
-// chunk pass nil).
-func (h *Handle) decodeRun(k0 int, out []DecodedChunk, pcs, dirs []uint64) (err error) {
 	h.mu.Lock()
 	res := h.res
 	h.mu.Unlock()
-	i := 0
-	for ; res != nil && i < len(out) && k0+i < len(res.chunks); i++ {
-		if out[i], err = res.chunks[k0+i].decode(k0+i, pcs, dirs); err != nil {
-			return err
-		}
-		out[i].Base = int64(k0+i) * int64(h.chunkEvents)
+	var d DecodedChunk
+	var err error
+	if res != nil && k < len(res.chunks) {
+		d, err = res.chunks[k].decode(k, pcs, dirs)
+	} else {
+		d, err = h.pageIn(k, pcs, dirs)
 	}
-	if i == len(out) {
-		return nil
-	}
+	d.Base = int64(k) * int64(h.chunkEvents)
+	return d, err
+}
+
+// pageIn reads chunk k's frame from the spill file, verifies it and
+// decodes it. Every page-in funnels through here, so a damaged chunk is
+// detected before a single wrong event reaches a replay.
+func (h *Handle) pageIn(k int, pcs, dirs []uint64) (DecodedChunk, error) {
 	h.mu.Lock()
 	f, idx, err := h.fileLocked()
 	h.mu.Unlock()
 	if err != nil {
-		return err
+		return DecodedChunk{}, err
 	}
-	first, last := idx[k0+i], idx[k0+len(out)-1]
-	bp := getPageBuf(int(last.off + int64(last.plen) - first.off))
+	pos := idx[k]
+	bp := getPageBuf(pos.plen)
 	defer putPageBuf(bp)
-	if err := h.readFull(f, *bp, first.off); err != nil {
+	if err := h.readFull(f, *bp, pos.off); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return &CorruptError{Chunk: k0 + i, Reason: "spill file shorter than its chunk index (truncated?)"}
+			return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "spill file shorter than its chunk index (truncated?)"}
 		}
-		return fmt.Errorf("trace: paging spill chunks [%d,%d): %w", k0+i, k0+len(out), err)
+		return DecodedChunk{}, fmt.Errorf("trace: paging spill chunk %d: %w", k, err)
 	}
-	h.pageIns.Add(int64(len(out) - i))
-	for ; i < len(out); i++ {
-		pos := idx[k0+i]
-		if out[i], err = pageIn((*bp)[pos.off-first.off:], pos, k0+i, pcs, dirs); err != nil {
-			return err
-		}
-		out[i].Base = int64(k0+i) * int64(h.chunkEvents)
+	h.pageIns.Add(1)
+	c := pos.frame(*bp)
+	if err := c.check(k); err != nil {
+		return DecodedChunk{}, err
 	}
-	return nil
+	return c.decode(k, pcs, dirs)
 }
 
 // Materialise returns the recording as a fully resident ChunkedTrace,

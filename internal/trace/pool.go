@@ -2,57 +2,44 @@ package trace
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// DecodedPool is a byte-budgeted cache of decoded chunk columns over
-// one recording Handle. Sweep tasks check chunks out (decoding on
+// DecodedPool is a byte-budgeted LRU cache of decoded chunk columns
+// over one recording Handle. Sweep tasks check chunks out (decoding on
 // miss, possibly paging from the spill file) and release them when the
-// range is done; the pool retains released columns up to its budget so
-// other tasks visiting the same chunk reuse the decode, and evicts
-// least-recently-used columns past it — trading re-decode work for a
-// bounded decoded footprint, which is what lets a (slot × chunk-range)
-// sweep over a paper-scale recording run in fixed memory.
+// range is done; the pool retains released columns so other tasks
+// visiting the same chunk reuse the decode, and evicts the
+// least-recently-released columns past its limit — trading re-decode
+// work for a bounded decoded footprint, which is what lets a (slot ×
+// chunk-range) sweep over a paper-scale recording run in fixed memory.
 //
 // Budget semantics:
 //
-//	0   retain every decoded chunk for the pool's lifetime (the
-//	    pre-streaming behaviour: decode once, keep all columns);
-//	> 0 byte budget; checked-out chunks are pinned and may overshoot
-//	    it (forward progress beats the bound). Admission is
-//	    scan-resistant: the first budget's worth of distinct chunks
-//	    becomes a protected warm set that stays resident, and
-//	    everything past it is transit — evicted at release rather
-//	    than thrashing the warm set. Plain LRU collapses to zero hits
-//	    when repeated sweeps are even one chunk wider than the
-//	    budget; first-come protection keeps a stable prefix warm and
-//	    pays re-decodes only for the overflow;
-//	< 0 retain nothing: columns drop at last release, every revisit
-//	    re-decodes.
+//	0   retain every decoded chunk for the pool's lifetime (decode
+//	    once, keep all columns);
+//	> 0 byte budget plus a transit band of transitBandChunks chunks:
+//	    released columns are evicted LRU-first once the resident bytes
+//	    pass budget + band. The band is sized for the convoyed sweep,
+//	    whose 34 chains visit each chunk moments apart: the chunk one
+//	    chain just released is the chunk its siblings need next, so it
+//	    must survive even when one chunk alone exceeds the budget.
+//	    Checked-out chunks are pinned and may overshoot the limit
+//	    (forward progress beats the bound), so the resident peak is at
+//	    most budget + band + the chunks pinned at once.
+//
+// Negative budgets are invalid.
 //
 // Concurrent first touches of one chunk are single-flighted: the first
 // goroutine decodes, the rest wait on the flight and share the install,
-// so a chunk is never decoded twice at once. EnablePrefetch adds a
-// background prefetcher behind the non-blocking Prefetch hint, which
-// decodes upcoming chunks into the pool — coalescing adjacent spill
-// reads into one ReadAt — so paging and decode overlap with the
-// caller's compute. Enabling the prefetcher also widens the transit
-// band by a fixed window allowance: prefetched columns awaiting their
-// first checkout and recently released transit both ride up to
-// budget + window before eviction — read-ahead must not be consumed by
-// its own pressure, and the chunk one convoyed sweep chain just
-// released is exactly the chunk its sibling chains need next. Peak
-// memory stays O(budget + window).
+// so a chunk is never decoded twice at once.
 //
 // A DecodedPool is safe for concurrent use. Checked-out chunks are
 // immutable; a chunk stays valid until its matching Release, even if
 // the pool evicts it for other callers in between.
 type DecodedPool struct {
-	h      *Handle
-	budget int64
+	h     *Handle
+	limit int64 // eviction threshold: budget + band; 0 = never evict
 
 	mu    sync.Mutex
 	slots []poolSlot
@@ -60,25 +47,14 @@ type DecodedPool struct {
 	// so eviction is O(1) per victim regardless of chunk count.
 	lruHead, lruTail int
 	bytes            int64 // resident decoded bytes (pinned + cached)
-	protectedBytes   int64 // bytes admitted to the protected warm set
 	stats            DecodedPoolStats
 	highWater        int64
-	inFlight         int64 // decodes (demand + prefetch) currently running
-
-	pf *prefetcher // background read-ahead; nil until EnablePrefetch
-	// raMode is set (and stays set) once EnablePrefetch runs: transit
-	// columns then ride within the prefetch-window allowance past the
-	// budget instead of being evicted at every release, so a chunk
-	// decoded for one convoyed sweep chain is still resident when its
-	// siblings arrive moments later.
-	raMode bool
 }
 
 // poolSlot tracks one chunk's pool state. prev/next are LRU links
 // (chunk indices, -1 = none), valid only while linked. flight is the
-// slot's in-progress decode (demand or prefetch), closed when it
-// settles — successfully or not — so waiters re-check rather than
-// decoding the same chunk twice.
+// slot's in-progress decode, closed when it settles — successfully or
+// not — so waiters re-check rather than decoding the same chunk twice.
 type poolSlot struct {
 	d          *DecodedChunk
 	refs       int32
@@ -86,33 +62,37 @@ type poolSlot struct {
 	prev, next int
 	linked     bool
 	decoded    bool // decoded at least once (for the re-decode counter)
-	protected  bool // in the warm set: resident for the pool's lifetime
-	prefetched bool // installed by the prefetcher, not yet claimed
 	flight     chan struct{}
 }
 
 // DecodedPoolStats counts pool traffic. HighWater is the peak resident
 // decoded bytes; Redecodes counts decodes beyond each chunk's first —
-// the work the budget trades memory for. PrefetchHits counts checkouts
-// served by a prefetched column (including waits on a prefetch already
-// in flight), PrefetchWasted counts prefetched columns evicted — or
-// still unclaimed at ClosePrefetch — before any checkout touched them,
-// and InFlightPeak is the high-water mark of concurrent decodes (demand
-// plus prefetch) — the pipeline depth the read-ahead actually achieved.
+// the work the budget trades memory for.
 type DecodedPoolStats struct {
-	Hits           int64
-	Decodes        int64
-	Redecodes      int64
-	Evicted        int64
-	HighWater      int64
-	PrefetchHits   int64
-	PrefetchWasted int64
-	InFlightPeak   int64
+	Hits      int64
+	Decodes   int64
+	Redecodes int64
+	Evicted   int64
+	HighWater int64
 }
 
-// NewDecodedPool builds a pool over h with the given byte budget.
+// transitBandChunks is the transit band: how many chunks' worth of
+// released columns a budgeted pool keeps past its byte budget.
+const transitBandChunks = 4
+
+// NewDecodedPool builds a pool over h with the given byte budget
+// (0 = retain everything; see DecodedPool). It panics on a negative
+// budget.
 func NewDecodedPool(h *Handle, budget int64) *DecodedPool {
-	return &DecodedPool{h: h, budget: budget, slots: make([]poolSlot, h.Chunks()), lruHead: -1, lruTail: -1}
+	if budget < 0 {
+		panic(fmt.Sprintf("trace: negative decoded-pool budget %d", budget))
+	}
+	limit := budget
+	if budget > 0 {
+		ce := int64(h.ChunkEvents())
+		limit += transitBandChunks * (ce*8 + (ce+63)/64*8)
+	}
+	return &DecodedPool{h: h, limit: limit, slots: make([]poolSlot, h.Chunks()), lruHead: -1, lruTail: -1}
 }
 
 // Checkout returns chunk k's decoded columns, pinned until the
@@ -130,19 +110,14 @@ func (p *DecodedPool) Checkout(k int) *DecodedChunk {
 			}
 			s.refs++
 			p.stats.Hits++
-			if s.prefetched {
-				s.prefetched = false
-				p.stats.PrefetchHits++
-			}
 			d := s.d
 			p.mu.Unlock()
 			return d
 		}
 		if s.flight != nil {
-			// Someone (a sibling chain or a prefetch worker) is already
-			// decoding this chunk: wait for the flight to settle and
-			// re-check. The install may fail or be evicted before we
-			// re-acquire the lock, hence the loop.
+			// A sibling chain is already decoding this chunk: wait for the
+			// flight to settle and re-check. The install may fail or be
+			// evicted before we re-acquire the lock, hence the loop.
 			done := s.flight
 			p.mu.Unlock()
 			<-done
@@ -150,136 +125,60 @@ func (p *DecodedPool) Checkout(k int) *DecodedChunk {
 			continue
 		}
 		s.flight = make(chan struct{})
-		p.noteFlightLocked(1)
 		break
 	}
 	p.mu.Unlock()
 
 	d, err := p.h.DecodeChunk(k)
-	if err != nil {
-		// Settle the flight before panicking so waiters unblock (they
-		// re-claim, hit the same error, and panic with the same context).
-		// The panic value is an error wrapping the cause, so recovery at
-		// the sweep layer can classify it (errors.Is ErrCorruptSpill).
-		p.settleFlight(k)
-		panic(fmt.Errorf("trace: decoding chunk %d: %w", k, err))
-	}
 
 	p.mu.Lock()
 	s := &p.slots[k]
+	close(s.flight)
+	s.flight = nil
+	if err != nil {
+		// The flight is settled first so waiters unblock (they re-claim,
+		// hit the same error, and panic with the same context). The panic
+		// value is an error wrapping the cause, so recovery at the sweep
+		// layer can classify it (errors.Is ErrCorruptSpill).
+		p.mu.Unlock()
+		panic(fmt.Errorf("trace: decoding chunk %d: %w", k, err))
+	}
 	p.stats.Decodes++
 	if s.decoded {
 		p.stats.Redecodes++
 	}
 	s.decoded = true
-	dc := d
-	s.d = &dc
+	s.d = &d
 	s.size = d.SizeBytes()
-	p.bytes += s.size
-	if p.bytes > p.highWater {
-		p.highWater = p.bytes
-	}
-	p.maybeProtectLocked(k)
 	s.refs++
-	out := s.d
-	close(s.flight)
-	s.flight = nil
-	p.noteFlightLocked(-1)
+	p.bytes += s.size
+	p.highWater = max(p.highWater, p.bytes)
 	p.mu.Unlock()
-	return out
+	return &d
 }
 
-// maybeProtectLocked admits chunk k to the protected warm set if the
-// budget still has room. Protection is first-come and permanent: the
-// warm set is a stable prefix of the sweep order, hit by every later
-// chain, while the overflow streams through as transit.
-func (p *DecodedPool) maybeProtectLocked(k int) {
-	s := &p.slots[k]
-	if p.budget <= 0 || s.protected || p.protectedBytes+s.size > p.budget {
-		return
-	}
-	s.protected = true
-	p.protectedBytes += s.size
-}
-
-// chunkEst is the approximate decoded size of one full chunk, used for
-// window sizing where the real size is not yet known.
-func (p *DecodedPool) chunkEst() int64 {
-	return int64(p.h.ChunkEvents())*8 + int64((p.h.ChunkEvents()+63)/64)*8
-}
-
-// Release unpins chunk k. With a negative budget the columns drop on
-// the last release; with a positive one the chunk joins the LRU list
-// and any excess over the budget is evicted oldest-first.
+// Release unpins chunk k. In a budgeted pool the chunk joins the LRU
+// list at its MRU end and columns past budget + band are evicted
+// oldest-first.
 func (p *DecodedPool) Release(k int) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	s := &p.slots[k]
 	if s.refs <= 0 {
-		p.mu.Unlock()
 		panic(fmt.Sprintf("trace: releasing chunk %d that is not checked out", k))
 	}
 	s.refs--
-	if s.refs == 0 && s.d != nil {
-		switch {
-		case p.budget < 0:
-			p.dropLocked(s)
-		case p.budget > 0 && !s.protected:
-			p.linkLocked(k)
-			p.evictLocked()
-		}
+	if s.refs > 0 || p.limit == 0 {
+		return
 	}
-	p.mu.Unlock()
-}
-
-// noteFlightLocked tracks the number of concurrent decodes and its peak.
-func (p *DecodedPool) noteFlightLocked(delta int64) {
-	p.inFlight += delta
-	if p.inFlight > p.stats.InFlightPeak {
-		p.stats.InFlightPeak = p.inFlight
-	}
-}
-
-// settleFlight closes and clears chunk k's flight without installing
-// anything (the decode failed).
-func (p *DecodedPool) settleFlight(k int) {
-	p.mu.Lock()
-	s := &p.slots[k]
-	close(s.flight)
-	s.flight = nil
-	p.noteFlightLocked(-1)
-	p.mu.Unlock()
-}
-
-// evictLocked drops unpinned transit columns oldest-first until the
-// pool is back under its limit. Without a prefetcher the limit is the
-// bare (positive) budget. In read-ahead mode it is the budget plus a
-// fixed window allowance: both prefetched columns awaiting their first
-// checkout (read-ahead must not be consumed by its own eviction
-// pressure) and recently released transit (the chunk one convoyed
-// chain just swept is the chunk its siblings need next) ride in that
-// band, and fresh installs link at the MRU tail, so the coldest transit
-// goes first. Protected slots are never linked, so the walk only ever
-// sees transit; peak memory stays O(budget + window) either way.
-func (p *DecodedPool) evictLocked() {
-	limit := p.budget
-	if p.raMode {
-		limit += int64(prefetchWindowChunks) * p.chunkEst()
-	}
-	for p.bytes > limit && p.lruHead >= 0 {
-		victim := p.lruHead
-		p.unlinkLocked(victim)
-		p.dropLocked(&p.slots[victim])
-	}
-}
-
-func (p *DecodedPool) dropLocked(s *poolSlot) {
-	p.bytes -= s.size
-	s.d = nil
-	s.size = 0
-	p.stats.Evicted++
-	if s.prefetched {
-		s.prefetched = false
-		p.stats.PrefetchWasted++
+	p.linkLocked(k)
+	for p.bytes > p.limit && p.lruHead >= 0 {
+		victim := &p.slots[p.lruHead]
+		p.unlinkLocked(p.lruHead)
+		p.bytes -= victim.size
+		victim.d = nil
+		victim.size = 0
+		p.stats.Evicted++
 	}
 }
 
@@ -322,18 +221,11 @@ func (p *DecodedPool) Stats() DecodedPoolStats {
 }
 
 // Reader returns a sequential ChunkReader over the pool's whole
-// recording that checks each chunk out of the pool and hints readAhead
-// chunks past the cursor — the streaming-replay analogue of the sweep
-// engines' read-ahead. The previous chunk is released on the next
-// NextChunk call, matching the interface's ownership contract. The
-// caller still owns the pool's lifecycle (ClosePrefetch when done).
-func (p *DecodedPool) Reader(readAhead int) ChunkReader {
-	return &poolReader{p: p, cur: -1, pf: 1, ra: readAhead}
-}
-
-// Source is Reader as an event-at-a-time Source.
-func (p *DecodedPool) Source(readAhead int) Source {
-	return &chunkSource{r: p.Reader(readAhead)}
+// recording that checks each chunk out of the pool. The previous chunk
+// is released on the next NextChunk call, matching the interface's
+// ownership contract.
+func (p *DecodedPool) Reader() ChunkReader {
+	return &poolReader{p: p, cur: -1}
 }
 
 // poolReader is the sequential pooled replay behind DecodedPool.Reader.
@@ -341,8 +233,6 @@ type poolReader struct {
 	p    *DecodedPool
 	cur  int // checked-out chunk, released on the next call; -1 = none
 	next int
-	pf   int // first chunk not yet hinted
-	ra   int
 }
 
 func (r *poolReader) NextChunk() (pcs []uint64, dirs []uint64, n int, ok bool) {
@@ -350,277 +240,11 @@ func (r *poolReader) NextChunk() (pcs []uint64, dirs []uint64, n int, ok bool) {
 		r.p.Release(r.cur)
 		r.cur = -1
 	}
-	nchunks := r.p.h.Chunks()
-	if r.next >= nchunks {
+	if r.next >= r.p.h.Chunks() {
 		return nil, nil, 0, false
 	}
-	k := r.next
-	if r.ra > 0 {
-		hi := k + 1 + r.ra
-		if hi > nchunks {
-			hi = nchunks
-		}
-		if r.pf <= k {
-			r.pf = k + 1
-		}
-		for ; r.pf < hi; r.pf++ {
-			r.p.Prefetch(r.pf)
-		}
-	}
-	d := r.p.Checkout(k)
-	r.cur = k
-	r.next = k + 1
+	d := r.p.Checkout(r.next)
+	r.cur = r.next
+	r.next++
 	return d.PCs, d.Dirs, d.N, true
-}
-
-// Prefetcher defaults: two workers keep one decode in flight while the
-// other's read parks in the kernel, and the queue absorbs a burst of
-// hints from every sweep chain without blocking any of them.
-const (
-	defaultPrefetchWorkers = 2
-	defaultPrefetchQueue   = 256
-	prefetchBatch          = 16
-	prefetchYieldDepth     = 8
-	// prefetchWindowChunks bounds how far read-ahead runs past the
-	// budget: at most this many chunks are claimed per batch, and
-	// eviction spares unclaimed prefetched columns up to the same
-	// allowance.
-	prefetchWindowChunks = 4
-)
-
-// prefetcher is the pool's background read-ahead: a bounded hint queue
-// drained by worker goroutines that decode upcoming chunks into the
-// pool before the sweep cursor arrives. canceled makes the workers
-// discard batches instead of decoding them, so a canceled or poisoned
-// sweep unwinds without waiting behind queued page-ins.
-type prefetcher struct {
-	reqs     chan int
-	wg       sync.WaitGroup
-	canceled atomic.Bool
-}
-
-// EnablePrefetch starts the pool's background prefetcher with the given
-// worker count and hint-queue depth (<= 0 selects defaults). It is a
-// no-op on a pool that already has one, and on cache-nothing pools
-// (budget < 0), where an unpinned install would be dropped immediately.
-// A pool with a prefetcher must be shut down with ClosePrefetch.
-func (p *DecodedPool) EnablePrefetch(workers, queue int) {
-	if p.budget < 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = defaultPrefetchWorkers
-	}
-	if queue <= 0 {
-		queue = defaultPrefetchQueue
-	}
-	p.mu.Lock()
-	p.raMode = true
-	if p.pf != nil {
-		p.mu.Unlock()
-		return
-	}
-	pf := &prefetcher{reqs: make(chan int, queue)}
-	p.pf = pf
-	p.mu.Unlock()
-	for i := 0; i < workers; i++ {
-		pf.wg.Add(1)
-		go p.prefetchLoop(pf)
-	}
-}
-
-// Prefetch hints that chunk k will be checked out soon. It never
-// blocks: without a prefetcher, for a chunk already resident or in
-// flight, or when the hint queue is full, it does nothing — read-ahead
-// is best-effort and the demand path stays correct without it.
-func (p *DecodedPool) Prefetch(k int) {
-	p.mu.Lock()
-	pf := p.pf
-	if pf == nil || k < 0 || k >= len(p.slots) {
-		p.mu.Unlock()
-		return
-	}
-	s := &p.slots[k]
-	if s.d != nil || s.flight != nil {
-		p.mu.Unlock()
-		return
-	}
-	// Sent under the lock: ClosePrefetch nils p.pf before closing the
-	// channel, so a send can never race the close.
-	select {
-	case pf.reqs <- k:
-	default:
-	}
-	depth := len(pf.reqs)
-	yieldAt := cap(pf.reqs) / 2
-	if yieldAt > prefetchYieldDepth {
-		yieldAt = prefetchYieldDepth
-	}
-	if yieldAt < 1 {
-		yieldAt = 1
-	}
-	p.mu.Unlock()
-	// A backlog means the workers are starving — on a single P they only
-	// run when the demand path blocks, and fast page-cache preads never
-	// block long enough. Yield so they drain the queue now, while the
-	// hints are still ahead of the cursor: the batch decodes as coalesced
-	// runs, so even without true overlap the syscall count drops. On
-	// multi-core boxes the workers drain hints as they arrive and the
-	// backlog never builds, so this stays dormant.
-	if depth >= yieldAt {
-		runtime.Gosched()
-	}
-}
-
-// CancelPrefetch makes the prefetcher drop queued hints instead of
-// decoding them. Demand checkouts are unaffected; call it ahead of
-// ClosePrefetch on a cancellation or poison path so the unwind does not
-// wait behind a window of now-useless page-ins. Idempotent and safe
-// without EnablePrefetch.
-func (p *DecodedPool) CancelPrefetch() {
-	p.mu.Lock()
-	pf := p.pf
-	p.mu.Unlock()
-	if pf != nil {
-		pf.canceled.Store(true)
-	}
-}
-
-// ClosePrefetch stops the prefetcher and waits for in-flight decodes to
-// settle. Idempotent, safe without EnablePrefetch, and safe to call
-// concurrently with Checkout/Prefetch; call it before reading final
-// Stats so every prefetch install is accounted.
-func (p *DecodedPool) ClosePrefetch() {
-	p.mu.Lock()
-	pf := p.pf
-	p.pf = nil
-	p.mu.Unlock()
-	if pf == nil {
-		return
-	}
-	close(pf.reqs)
-	pf.wg.Wait()
-	// Columns the read-ahead decoded but no checkout ever claimed are
-	// wasted work even if still resident; account them now so final
-	// stats reflect what the prefetcher actually bought.
-	p.mu.Lock()
-	for i := range p.slots {
-		if s := &p.slots[i]; s.d != nil && s.prefetched {
-			s.prefetched = false
-			p.stats.PrefetchWasted++
-		}
-	}
-	p.mu.Unlock()
-}
-
-// prefetchLoop drains hints, batching whatever is already queued so
-// adjacent chunks can coalesce into one spill read.
-func (p *DecodedPool) prefetchLoop(pf *prefetcher) {
-	defer pf.wg.Done()
-	batch := make([]int, 0, prefetchBatch)
-	for {
-		k, ok := <-pf.reqs
-		if !ok {
-			return
-		}
-		// Drain the whole backlog: a worker that slept through many
-		// hints (single-core boxes starve them until the demand path
-		// blocks in a page-in) must see the newest cursor positions,
-		// not chew through ancient history 16 hints at a time.
-		batch = append(batch[:0], k)
-	drain:
-		for {
-			select {
-			case k2, ok := <-pf.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, k2)
-			default:
-				break drain
-			}
-		}
-		if pf.canceled.Load() {
-			continue
-		}
-		p.runPrefetchBatch(batch)
-	}
-}
-
-// runPrefetchBatch claims the batch's still-wanted chunks as flights,
-// then decodes them in maximal contiguous runs (one coalesced ReadAt
-// per run on the pread spill path) and installs the columns unpinned.
-func (p *DecodedPool) runPrefetchBatch(batch []int) {
-	sort.Ints(batch)
-	uniq := batch[:0]
-	for i, k := range batch {
-		if i > 0 && k == batch[i-1] {
-			continue
-		}
-		uniq = append(uniq, k)
-	}
-	// A batch's decoded columns are all live at once between decode and
-	// install, so cap budgeted claims at the window allowance. When the
-	// cap binds, keep the HIGHEST chunk numbers: hints arrive in cursor
-	// order, so the low end of a backed-up batch is behind the cursor
-	// already and would decode straight into wasted evictions.
-	if p.budget > 0 && len(uniq) > prefetchWindowChunks {
-		uniq = uniq[len(uniq)-prefetchWindowChunks:]
-	}
-	claimed := make([]int, 0, len(uniq))
-	p.mu.Lock()
-	for _, k := range uniq {
-		s := &p.slots[k]
-		if s.d != nil || s.flight != nil {
-			continue
-		}
-		s.flight = make(chan struct{})
-		p.noteFlightLocked(1)
-		claimed = append(claimed, k)
-	}
-	p.mu.Unlock()
-	for len(claimed) > 0 {
-		n := 1
-		for n < len(claimed) && claimed[n] == claimed[0]+n {
-			n++
-		}
-		p.prefetchRun(claimed[0], n)
-		claimed = claimed[n:]
-	}
-}
-
-// prefetchRun decodes chunks [k0, k0+n) and installs them unpinned,
-// charged against the budget with LRU eviction past it. A decode error
-// installs nothing and just settles the flights: the demand path will
-// re-decode and panic with context, exactly as if no prefetch ran.
-func (p *DecodedPool) prefetchRun(k0, n int) {
-	ds, err := p.h.DecodeChunkRun(k0, n)
-	p.mu.Lock()
-	for i := 0; i < n; i++ {
-		s := &p.slots[k0+i]
-		if err == nil {
-			d := ds[i]
-			s.d = &d
-			s.size = d.SizeBytes()
-			p.bytes += s.size
-			if p.bytes > p.highWater {
-				p.highWater = p.bytes
-			}
-			p.stats.Decodes++
-			if s.decoded {
-				p.stats.Redecodes++
-			}
-			s.decoded = true
-			s.prefetched = true
-			p.maybeProtectLocked(k0 + i)
-			if p.budget > 0 && !s.protected {
-				p.linkLocked(k0 + i)
-				p.evictLocked()
-			}
-		}
-		close(s.flight)
-		s.flight = nil
-		p.noteFlightLocked(-1)
-	}
-	p.mu.Unlock()
 }

@@ -51,19 +51,29 @@ func TestDecodedPoolUnlimited(t *testing.T) {
 	}
 }
 
+// chunkBytes is the decoded size of h's first (full) chunk.
+func chunkBytes(t *testing.T, h *Handle) int64 {
+	t.Helper()
+	d, err := h.DecodeChunk(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.SizeBytes()
+}
+
+// poolBound is the budgeted pool's documented peak: budget, plus the
+// transit band, plus the chunks pinned at once.
+func poolBound(budget, chunk int64, pinned int) int64 {
+	return budget + (transitBandChunks+int64(pinned))*chunk
+}
+
 // TestDecodedPoolEvictsAndRedecodes pins the budgeted mode: columns
-// past the budget are evicted LRU-first and revisits re-decode.
+// past budget + band are evicted LRU-first and revisits re-decode.
 func TestDecodedPoolEvictsAndRedecodes(t *testing.T) {
 	h := poolHandle(t, 4000, 256)
-	chunkBytes := func() int64 {
-		d, err := h.DecodeChunk(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.SizeBytes()
-	}()
-	// Room for roughly two chunks.
-	p := NewDecodedPool(h, 2*chunkBytes+chunkBytes/2)
+	chunk := chunkBytes(t, h)
+	budget := 2*chunk + chunk/2
+	p := NewDecodedPool(h, budget)
 	for pass := 0; pass < 2; pass++ {
 		for k := 0; k < h.Chunks(); k++ {
 			d := p.Checkout(k)
@@ -81,39 +91,62 @@ func TestDecodedPoolEvictsAndRedecodes(t *testing.T) {
 	if s.Redecodes == 0 || s.Evicted == 0 {
 		t.Fatalf("budgeted pool stats %+v: want evictions and re-decodes", s)
 	}
-	if s.HighWater > 3*chunkBytes+chunkBytes/2 {
-		t.Fatalf("high water %d far exceeds budget (chunk=%d)", s.HighWater, chunkBytes)
+	if limit := poolBound(budget, chunk, 1); s.HighWater > limit {
+		t.Fatalf("high water %d exceeds budget + band + one pinned chunk = %d (chunk=%d)", s.HighWater, limit, chunk)
 	}
 }
 
-// TestDecodedPoolCacheNothing pins the negative budget: columns drop
-// at last release, every revisit decodes.
-func TestDecodedPoolCacheNothing(t *testing.T) {
-	h := poolHandle(t, 2000, 256)
-	p := NewDecodedPool(h, -1)
-	for pass := 0; pass < 2; pass++ {
-		for k := 0; k < h.Chunks(); k++ {
-			p.Checkout(k)
-			p.Release(k)
-		}
+// TestDecodedPoolBudgetBounded pins the pool's one bound on the demand
+// path: with G goroutines each holding at most one chunk, the resident
+// peak never passes budget + band + G chunks, and a budget far below
+// the walk's footprint forces eviction churn.
+func TestDecodedPoolBudgetBounded(t *testing.T) {
+	h := poolHandle(t, 8000, 256)
+	chunk := chunkBytes(t, h)
+	budget := 2*chunk + chunk/2
+	p := NewDecodedPool(h, budget)
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for i := 0; i < h.Chunks(); i++ {
+					k := (i + 5*g) % h.Chunks()
+					if d := p.Checkout(k); d.N != chunkLen(h, k) {
+						panic("bounded checkout observed wrong chunk")
+					}
+					p.Release(k)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	s := p.Stats()
-	if want := int64(2 * h.Chunks()); s.Decodes != want || s.Evicted != want {
-		t.Fatalf("cache-nothing stats %+v: want %d decodes and evictions", s, want)
+	if limit := poolBound(budget, chunk, goroutines); s.HighWater > limit {
+		t.Fatalf("HighWater = %d exceeds budget + band + %d pinned chunks = %d (budget=%d chunk=%d)",
+			s.HighWater, goroutines, limit, budget, chunk)
 	}
-	if s.Hits != 0 {
-		t.Fatalf("Hits = %d, want 0", s.Hits)
+	if s.Evicted == 0 || s.Redecodes == 0 {
+		t.Fatalf("stats %+v: want eviction churn", s)
 	}
 }
 
 // TestDecodedPoolPinnedOvershoot pins forward progress: concurrent
-// checkouts may pin more than the budget; nothing pinned is evicted.
+// checkouts may pin more than the budget; nothing pinned is evicted,
+// and once everything is released the pool is back within budget +
+// band.
 func TestDecodedPoolPinnedOvershoot(t *testing.T) {
 	h := poolHandle(t, 2000, 256)
+	chunk := chunkBytes(t, h)
 	p := NewDecodedPool(h, 1) // budget below a single chunk
 	var held []*DecodedChunk
 	for k := 0; k < h.Chunks(); k++ {
 		held = append(held, p.Checkout(k))
+	}
+	if s := p.Stats(); s.HighWater <= poolBound(1, chunk, 0) {
+		t.Fatalf("stats %+v: pinning every chunk should overshoot budget + band", s)
 	}
 	for k := 0; k < h.Chunks(); k++ {
 		if held[k] == nil || held[k].N == 0 {
@@ -121,8 +154,15 @@ func TestDecodedPoolPinnedOvershoot(t *testing.T) {
 		}
 		p.Release(k)
 	}
-	if s := p.Stats(); s.Evicted != int64(h.Chunks()) {
-		t.Fatalf("stats %+v: every release past the budget should evict", s)
+	s := p.Stats()
+	if s.Evicted == 0 {
+		t.Fatalf("stats %+v: releases past budget + band should evict", s)
+	}
+	p.mu.Lock()
+	resident := p.bytes
+	p.mu.Unlock()
+	if limit := poolBound(1, chunk, 0); resident > limit {
+		t.Fatalf("%d bytes resident after every release, want <= budget + band = %d", resident, limit)
 	}
 }
 
@@ -159,4 +199,67 @@ func TestDecodedPoolConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCheckoutSingleFlight pins the single-flight contract: N
+// goroutines first-touching the same chunk at once produce exactly one
+// decode, with everyone else sharing the install.
+func TestCheckoutSingleFlight(t *testing.T) {
+	h := poolHandle(t, 4000, 256)
+	const goroutines = 16
+	p := NewDecodedPool(h, 0)
+	for k := 0; k < h.Chunks(); k++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				d := p.Checkout(k)
+				if d.N != chunkLen(h, k) {
+					panic("single-flight checkout observed wrong chunk")
+				}
+				p.Release(k)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if s := p.Stats(); s.Decodes != int64(k+1) {
+			t.Fatalf("chunk %d: Decodes = %d after %d concurrent first-touches, want %d (one per chunk)",
+				k, s.Decodes, goroutines, k+1)
+		}
+	}
+	s := p.Stats()
+	if s.Redecodes != 0 {
+		t.Fatalf("stats %+v: single-flight must not re-decode", s)
+	}
+	if want := int64(h.Chunks() * (goroutines - 1)); s.Hits != want {
+		t.Fatalf("Hits = %d, want %d (everyone but the decoder)", s.Hits, want)
+	}
+}
+
+// TestDecodeChunkIntoAllocs pins the pooled page-in buffer: steady-state
+// spill decodes with reused column buffers must not allocate per call.
+func TestDecodeChunkIntoAllocs(t *testing.T) {
+	h := poolHandle(t, 8000, 256)
+	// Warm the scratch pool and size the reusable columns off chunk 0
+	// (the largest; later chunks fit inside its capacity).
+	d, err := h.DecodeChunkInto(0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcs, dirs := d.PCs, d.Dirs
+	k := 0
+	avg := testing.AllocsPerRun(100, func() {
+		d, err := h.DecodeChunkInto(k%h.Chunks(), pcs, dirs)
+		if err != nil {
+			panic(err)
+		}
+		pcs, dirs = d.PCs, d.Dirs
+		k++
+	})
+	if avg > 0.5 {
+		t.Fatalf("DecodeChunkInto allocates %.1f allocs/op with reused buffers, want 0", avg)
+	}
 }

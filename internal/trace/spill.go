@@ -156,21 +156,6 @@ func getPageBuf(n int) *[]byte {
 
 func putPageBuf(bp *[]byte) { pageBufPool.Put(bp) }
 
-// pageIn verifies and decodes chunk k from buf, which starts at the
-// chunk's payload offset. Every page-in funnels through here,
-// single-chunk and coalesced reads alike, so a damaged chunk is
-// detected before a single wrong event reaches a replay.
-func pageIn(buf []byte, pos chunkPos, k int, pcs, dirs []uint64) (DecodedChunk, error) {
-	if len(buf) < pos.plen {
-		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk payload extends past end of file"}
-	}
-	c := pos.frame(buf[:pos.plen])
-	if err := c.check(k); err != nil {
-		return DecodedChunk{}, err
-	}
-	return c.decode(k, pcs, dirs)
-}
-
 // faultWriter adapts a SpillIO's Write to io.Writer for one file, so a
 // bufio.Writer (and the spill writer above it) flushes through the
 // injectable layer.
